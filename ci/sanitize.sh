@@ -30,6 +30,9 @@ run_tsan() {
   # the heartbeat thread, and the shared journal writer under one roof.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_workstealing
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_substrate
+  # Concurrent shard writers racing one cache directory, and parallel
+  # warm-ups racing one repository's per-level image/substrate once-guards
+  # over a filled cache (ModelCacheImage.ConcurrentWarmUpsRaceOneRepository).
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_model_cache
   # SEM/SDC detectors' parallel differential: detectors-on vs detectors-off
   # suites at jobs {1,2,8} share analyzers across the worker fan-out.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/bytes.hpp"
 #include "support/errors.hpp"
 #include "support/faults.hpp"
 #include "support/sdmc.hpp"
@@ -16,6 +17,35 @@ std::atomic<std::uint64_t> g_framework_retries{0};
 void count_attempt(std::atomic<std::uint32_t>& attempts) {
   if (attempts.fetch_add(1, std::memory_order_relaxed) > 0)
     g_framework_retries.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Kind-2 entry payload (container version 3): ULEB image length, the
+/// level's serialized framework image, then the substrate's structural
+/// tables. The image rides along so a warm process parses it instead of
+/// re-emitting it from the spec.
+std::vector<std::uint8_t> substrate_entry_payload(
+    const DexFile& image, std::span<const std::uint8_t> tables) {
+  const std::vector<std::uint8_t> image_bytes = image.serialize();
+  ByteWriter w;
+  w.uleb(image_bytes.size());
+  w.bytes(image_bytes);
+  w.bytes(tables);
+  return w.take();
+}
+
+struct SubstrateEntry {
+  std::span<const std::uint8_t> image;
+  std::span<const std::uint8_t> tables;
+};
+
+/// Splits a kind-2 payload; throws ParseError when the image section
+/// overruns it.
+SubstrateEntry split_substrate_entry(std::span<const std::uint8_t> payload) {
+  ByteReader r{payload};
+  SubstrateEntry entry;
+  entry.image = r.bytes(r.uleb());
+  entry.tables = payload.subspan(r.offset());
+  return entry;
 }
 
 }  // namespace
@@ -50,9 +80,51 @@ const DexFile& FrameworkRepository::image(int level) const {
     // next caller retries the build — an injected repository failure
     // poisons one analysis, not the level, matching real transient I/O.
     SD_FAULT_POINT("adf.image");
-    slot = emit_framework_image(spec_, static_cast<int>(slot_idx));
+    const int lvl = static_cast<int>(slot_idx);
+    slot = load_cached_image(lvl);
+    if (!slot) slot = emit_framework_image(spec_, lvl);
   });
   return *slot;
+}
+
+std::optional<DexFile> FrameworkRepository::load_cached_image(int lvl) const {
+  const std::string cache_dir = model_cache_dir();
+  if (cache_dir.empty()) return std::nullopt;
+  // The default-options substrate entry carries the image (every entry
+  // does; this is the one the warm paths write and read).
+  const bool index_methods = SubstrateOptions{}.index_methods;
+  try {
+    const auto blob =
+        read_file_bytes(substrate_entry_path(cache_dir, lvl, index_methods));
+    if (!blob) return std::nullopt;
+    const std::vector<std::uint8_t> payload =
+        sdmc_open(*blob, substrate_entry_key(lvl, index_methods));
+    DexFile img = DexFile::parse(split_substrate_entry(payload).image);
+    image_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return img;
+  } catch (const Error&) {
+    // A stale or corrupt entry: emit instead, and have the substrate
+    // build overwrite the entry rather than rebind from it.
+    stale_entries_[static_cast<std::size_t>(lvl)].store(
+        true, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+}
+
+std::string FrameworkRepository::substrate_entry_path(
+    const std::string& cache_dir, int lvl, bool index_methods) const {
+  return cache_dir + "/substrate-" + fingerprint_ + "-L" +
+         std::to_string(lvl) + "-m" + (index_methods ? "1" : "0") + ".sdmc";
+}
+
+SdmcKey FrameworkRepository::substrate_entry_key(int lvl,
+                                                 bool index_methods) const {
+  SdmcKey key;
+  key.kind = SdmcKind::kSubstrateTables;
+  key.fingerprint = fingerprint_;
+  key.level = lvl;
+  key.options = index_methods ? 1u : 0u;
+  return key;
 }
 
 const FrameworkClassIndex& FrameworkRepository::class_index(int level) const {
@@ -96,25 +168,25 @@ std::shared_ptr<const FrameworkSubstrate> FrameworkRepository::substrate(
     // Model cache: try rebinding persisted structural tables before paying
     // the full per-method instruction re-decode. A stale, foreign or
     // corrupt entry throws ParseError inside sdmc_open / the rebind
-    // constructor and falls through to a full build, whose tables are then
-    // published rename-atomically (overwriting the bad entry). Cache I/O
-    // never fails the build itself.
+    // constructor (or image() already found it unusable) and falls through
+    // to a full build, whose entry — image and tables — is then published
+    // rename-atomically, overwriting the bad one. Cache I/O never fails
+    // the build itself.
     const std::string cache_dir = model_cache_dir();
     std::string cache_path;
-    SdmcKey key;
+    const SdmcKey key = substrate_entry_key(lvl, options.index_methods);
     if (!cache_dir.empty()) {
-      key.kind = SdmcKind::kSubstrateTables;
-      key.fingerprint = fingerprint_;
-      key.level = lvl;
-      key.options = options.index_methods ? 1u : 0u;
-      cache_path = cache_dir + "/substrate-" + fingerprint_ + "-L" +
-                   std::to_string(lvl) + "-m" +
-                   (options.index_methods ? "1" : "0") + ".sdmc";
+      cache_path = substrate_entry_path(cache_dir, lvl, options.index_methods);
+      const bool stale =
+          options.index_methods == SubstrateOptions{}.index_methods &&
+          stale_entries_[static_cast<std::size_t>(lvl)].load(
+              std::memory_order_relaxed);
       try {
-        if (const auto blob = read_file_bytes(cache_path)) {
-          const std::vector<std::uint8_t> tables = sdmc_open(*blob, key);
+        const auto blob = stale ? std::nullopt : read_file_bytes(cache_path);
+        if (blob) {
+          const std::vector<std::uint8_t> payload = sdmc_open(*blob, key);
           slot->value = std::make_shared<const FrameworkSubstrate>(
-              img, lvl, options, tables);
+              img, lvl, options, split_substrate_entry(payload).tables);
           substrate_cache_hits_.fetch_add(1, std::memory_order_relaxed);
         }
       } catch (const Error&) {
@@ -126,8 +198,10 @@ std::shared_ptr<const FrameworkSubstrate> FrameworkRepository::substrate(
           std::make_shared<const FrameworkSubstrate>(img, lvl, options);
       if (!cache_path.empty()) {
         try {
-          write_file_atomic(cache_path,
-                            sdmc_seal(key, slot->value->serialize_tables()));
+          write_file_atomic(
+              cache_path,
+              sdmc_seal(key, substrate_entry_payload(
+                                 img, slot->value->serialize_tables())));
           substrate_cache_stores_.fetch_add(1, std::memory_order_relaxed);
         } catch (const Error&) {
           // A read-only or full cache directory costs only the warm start.

@@ -29,6 +29,7 @@
 #include "adf/synthetic.hpp"
 #include "clvm/substrate.hpp"
 #include "support/once.hpp"
+#include "support/sdmc.hpp"
 
 namespace saintdroid {
 
@@ -47,7 +48,11 @@ class FrameworkRepository {
   /// The framework image at `level`, built on first request. Thread-safe:
   /// the first access at each level builds under an exception-safe once-guard,
   /// every later access reads the immutable cached image without locking —
-  /// one repository safely serves N analysis workers.
+  /// one repository safely serves N analysis workers. With a model cache
+  /// attached, the first access parses the image serialized in the level's
+  /// substrate entry instead of emitting it from the spec (a missing,
+  /// stale or corrupt entry falls back to emission); the bytes are equal
+  /// either way.
   const DexFile& image(int level) const;
 
   /// Class-name index over image(level); built once and cached alongside
@@ -77,11 +82,13 @@ class FrameworkRepository {
   /// component that binds on-disk model-cache entries to this framework.
   const std::string& fingerprint() const { return fingerprint_; }
 
-  /// Points substrate materialization at an on-disk model cache: every
-  /// substrate slot built after this call first tries to load its
-  /// structural tables from `dir` (`substrate-<fingerprint>-L<level>-m<o>
-  /// .sdmc`) and rebind instead of re-deriving them from instruction
-  /// streams; a miss builds normally and publishes the tables
+  /// Points image and substrate materialization at an on-disk model
+  /// cache: every image or substrate slot built after this call first
+  /// tries the level's entry in `dir` (`substrate-<fingerprint>-L<level>
+  /// -m<o>.sdmc`, which holds the serialized image and the substrate's
+  /// structural tables) — parsing the image instead of emitting it, and
+  /// rebinding the tables instead of re-deriving them from instruction
+  /// streams; a miss builds normally and publishes the entry
   /// rename-atomically, so concurrent shard processes can share one
   /// directory. A stale or corrupt entry falls back to a full build (and
   /// is overwritten); cache I/O failures never fail an analysis. Empty
@@ -97,6 +104,10 @@ class FrameworkRepository {
   }
   std::uint64_t substrate_cache_stores() const {
     return substrate_cache_stores_.load(std::memory_order_relaxed);
+  }
+  /// Images parsed from a cached substrate entry instead of emitted.
+  std::uint64_t image_cache_hits() const {
+    return image_cache_hits_.load(std::memory_order_relaxed);
   }
 
   /// Clamps an arbitrary requested level into the modelled range — apps may
@@ -118,6 +129,13 @@ class FrameworkRepository {
   // map lock so one slow level never serializes the others.
   using SubstrateKey = std::pair<int, bool>;
 
+  /// image(lvl) from the cached default-options substrate entry, or
+  /// nullopt on a miss; an unusable entry also marks the level stale.
+  std::optional<DexFile> load_cached_image(int lvl) const;
+  std::string substrate_entry_path(const std::string& cache_dir, int lvl,
+                                   bool index_methods) const;
+  SdmcKey substrate_entry_key(int lvl, bool index_methods) const;
+
   FrameworkConfig cfg_;
   FrameworkSpec spec_;
   std::string fingerprint_;
@@ -127,6 +145,10 @@ class FrameworkRepository {
   mutable std::string model_cache_dir_;
   mutable std::atomic<std::uint64_t> substrate_cache_hits_{0};
   mutable std::atomic<std::uint64_t> substrate_cache_stores_{0};
+  mutable std::atomic<std::uint64_t> image_cache_hits_{0};
+  // Levels whose default-options entry image() could not use: their
+  // substrate build ignores the entry and overwrites it.
+  mutable std::array<std::atomic<bool>, kMaxApiLevel + 1> stale_entries_{};
   // Lazily built per level. The RetryOnce arrays serialize only the first
   // build of each slot (and, unlike std::call_once, stay retryable under
   // sanitizers when a build throws — see support/once.hpp); after the

@@ -9,7 +9,7 @@
 //
 //   apidb-<fingerprint>.sdmc              ApiDatabase::serialize payload
 //   semtab-<fingerprint>.sdmc             SemanticTable::serialize payload
-//   substrate-<fingerprint>-L<l>-m<o>.sdmc  substrate structural tables
+//   substrate-<fingerprint>-L<l>-m<o>.sdmc  level image + substrate tables
 //
 // Loads are validate-then-bulk-read; any mismatch or corruption falls
 // back to mining (and the fresh result overwrites the bad entry), so the

@@ -48,10 +48,8 @@ Apk Apk::parse(std::span<const std::uint8_t> bytes) {
   for (std::uint64_t i = 0; i < dex_count; ++i) {
     const auto size = r.uleb();
     if (size > r.remaining()) throw ParseError("dex section truncated");
-    // Parse each dex from its delimited window.
-    std::vector<std::uint8_t> window(size);
-    for (auto& b : window) b = r.u8();
-    apk.dexes.push_back(DexFile::parse(window));
+    // Parse each dex in place, from its delimited subspan.
+    apk.dexes.push_back(DexFile::parse(r.bytes(size)));
   }
   if (!r.at_end()) throw ParseError("trailing bytes after dex sections");
   return apk;

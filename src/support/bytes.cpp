@@ -91,6 +91,13 @@ std::uint64_t ByteReader::count(std::uint64_t min_element_bytes) {
   return n;
 }
 
+std::span<const std::uint8_t> ByteReader::bytes(std::uint64_t n) {
+  require(n);
+  const auto view = data_.subspan(pos_, n);
+  pos_ += n;
+  return view;
+}
+
 std::string ByteReader::str() {
   const std::uint64_t n = uleb();
   require(n);

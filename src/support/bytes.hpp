@@ -58,6 +58,10 @@ class ByteReader {
   std::int64_t sleb();
   std::string str();
 
+  /// The next `n` bytes as a view into the input (no copy); throws
+  /// ParseError when fewer remain.
+  std::span<const std::uint8_t> bytes(std::uint64_t n);
+
   /// Reads a ULEB element count and validates it against the bytes left:
   /// every element encodes to at least `min_element_bytes`, so any larger
   /// claim is a corrupt container (and would otherwise drive unbounded

@@ -1,8 +1,9 @@
 // SDMC — the on-disk model-cache container.
 //
 // A `.sdmc` file wraps one serialized model artifact (a mined ApiDatabase,
-// a substrate's structural tables) behind a versioned, keyed, checksummed
-// header so a persistent cache directory can be shared by many processes:
+// a level's framework image with its substrate's structural tables) behind
+// a versioned, keyed, checksummed header so a persistent cache directory
+// can be shared by many processes:
 //
 //   * the key (kind, framework fingerprint, level, option bits) binds the
 //     payload to exactly the (framework, level, options) it was computed
@@ -36,13 +37,15 @@ inline constexpr std::uint32_t kSdmcMagic = 0x434D4453;  // "SDMC"
 /// Container format version. Bumped on any incompatible change to the
 /// header or to a payload encoding; an old entry then fails to open and is
 /// simply re-mined and overwritten (stale-version eviction). Version 2
-/// added the semantic-table kind (docs/FORMAT.md).
-inline constexpr std::uint32_t kSdmcFormatVersion = 2;
+/// added the semantic-table kind; version 3 put the level's serialized
+/// framework image in front of the substrate tables (docs/FORMAT.md).
+inline constexpr std::uint32_t kSdmcFormatVersion = 3;
 
 /// What a cache entry holds.
 enum class SdmcKind : std::uint8_t {
   kApiDatabase = 1,       ///< ApiDatabase::serialize payload
-  kSubstrateTables = 2,   ///< FrameworkSubstrate::serialize_tables payload
+  kSubstrateTables = 2,   ///< level image + FrameworkSubstrate tables
+                          ///< (docs/FORMAT.md)
   kSemanticTable = 3,     ///< SemanticTable::serialize payload
   kIncrementalFacts = 4,  ///< per-app incremental analysis facts
                           ///< (core/incr_cache.hpp)
@@ -86,8 +89,8 @@ void ensure_directory(const std::string& dir);
 void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes);
 
-/// Reads a whole file; nullopt when it does not exist. Throws ConfigError
-/// on a file that exists but cannot be read.
+/// Reads a whole file with one sized read; nullopt when it does not
+/// exist. Throws ConfigError on a file that exists but cannot be read.
 std::optional<std::vector<std::uint8_t>> read_file_bytes(
     const std::string& path);
 

@@ -1,11 +1,13 @@
 #include "workload/harness.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
 #include "adf/repository.hpp"
 #include "support/errors.hpp"
+#include "support/meter.hpp"
 #include "support/sdmc.hpp"
 #include "support/thread_pool.hpp"
 #include "workload/journal.hpp"
@@ -119,6 +121,47 @@ std::string corpus_fingerprint(std::span<const BenchApp> apps) {
     hash >>= 4;
   }
   return hex;
+}
+
+WarmupStats warm_target_levels(const FrameworkRepository& repo,
+                               std::span<const BenchApp> apps, int jobs) {
+  const Stopwatch watch;
+  const std::uint64_t images_before = repo.image_cache_hits();
+  const std::uint64_t substrates_before = repo.substrate_cache_hits();
+  std::vector<char> wanted(kMaxApiLevel + 1, 0);
+  for (const auto& app : apps)
+    wanted[static_cast<std::size_t>(
+        FrameworkRepository::clamp_level(app.apk.manifest.target_sdk))] = 1;
+  // Newest levels first: they are the largest, so the pool's tail is short.
+  std::vector<int> levels;
+  for (int level = kMaxApiLevel; level >= kMinApiLevel; --level)
+    if (wanted[static_cast<std::size_t>(level)]) levels.push_back(level);
+
+  const auto warm = [&repo](int level) {
+    try {
+      (void)repo.substrate(level);
+    } catch (const std::exception&) {
+    }
+  };
+  const std::size_t workers =
+      std::min(levels.size(), static_cast<std::size_t>(std::max(jobs, 1)));
+  if (workers <= 1) {
+    for (const int level : levels) warm(level);
+  } else {
+    ThreadPool pool{workers};
+    std::vector<std::future<void>> done;
+    done.reserve(levels.size());
+    for (const int level : levels)
+      done.push_back(pool.submit([&warm, level] { warm(level); }));
+    for (auto& f : done) f.get();
+  }
+
+  WarmupStats stats;
+  stats.levels = levels.size();
+  stats.image_cache_hits = repo.image_cache_hits() - images_before;
+  stats.substrate_cache_hits = repo.substrate_cache_hits() - substrates_before;
+  stats.seconds = watch.seconds();
+  return stats;
 }
 
 SuiteResult run_suite(Analyzer& tool, std::span<const BenchApp> apps) {

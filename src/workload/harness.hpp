@@ -159,6 +159,26 @@ using AnalyzerFactory = std::function<std::unique_ptr<Analyzer>()>;
 SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
                                std::span<const BenchApp> apps, int jobs);
 
+/// What warm_target_levels did. Operational telemetry for the batch
+/// summary's startup line.
+struct WarmupStats {
+  /// Distinct clamped target levels warmed.
+  std::size_t levels = 0;
+  /// Images parsed from / substrates rebound from the model cache during
+  /// the warm-up (deltas of the repository's counters).
+  std::uint64_t image_cache_hits = 0;
+  std::uint64_t substrate_cache_hits = 0;
+  double seconds = 0.0;
+};
+
+/// Builds the shared framework substrate (and with it the image) of every
+/// distinct clamped target level of `apps`, up to `jobs` levels at a time
+/// on a thread pool — the warm-up of `batch` and `work`. A level whose
+/// build fails is skipped: the analyses against it retry and attribute the
+/// failure to their own rows. Never throws.
+WarmupStats warm_target_levels(const FrameworkRepository& repo,
+                               std::span<const BenchApp> apps, int jobs);
+
 /// Knobs for a journaled (crash-safe, resumable) suite run.
 struct SuiteRunOptions {
   int jobs = 1;
@@ -179,11 +199,12 @@ struct SuiteRunOptions {
   std::string corpus_id;
   int shard_index = 0;
   int shard_count = 1;
-  /// Run once on the calling thread after resume merging, before the
+  /// Run once from the calling thread after resume merging, before the
   /// serial loop or any worker starts — the place to pre-build shared
   /// immutable state (framework images, substrates) so a cold cache is
-  /// warmed once instead of stampeded by the fan-out. Must not throw;
-  /// swallow per-level failures and let the analyses attribute them.
+  /// warmed once instead of stampeded by the fan-out (warm_target_levels
+  /// fans the levels out itself). Must not throw; swallow per-level
+  /// failures and let the analyses attribute them.
   std::function<void()> warmup;
   /// On-disk model cache (see core/model_cache.hpp): when both fields are
   /// set, `repository` is pointed at `model_cache_dir` before warmup runs,

@@ -2,11 +2,14 @@
 // image emission, synthetic bulk determinism and the permission catalogue.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "adf/image.hpp"
 #include "adf/permissions.hpp"
 #include "adf/repository.hpp"
 #include "adf/spec.hpp"
 #include "adf/synthetic.hpp"
+#include "support/sdmc.hpp"
 
 namespace saintdroid {
 namespace {
@@ -190,6 +193,23 @@ TEST(Image, MonotoneGrowthOverall) {
   };
   EXPECT_LT(count_at(2), count_at(15));
   EXPECT_LT(count_at(15), count_at(29));
+}
+
+// Golden: the standard framework's images, byte for byte. Model-cache
+// entries carry serialized images, so an emitter change (e.g. to the
+// builder's pool interning order) must show up here, not as a silent
+// cold≠warm divergence.
+TEST(Image, StandardImagesPinnedByHash) {
+  const FrameworkSpec spec = build_framework_spec(FrameworkConfig{});
+  std::vector<std::uint8_t> all;
+  for (int level = kMinApiLevel; level <= kMaxApiLevel; ++level) {
+    const auto bytes = emit_framework_image(spec, level).serialize();
+    all.insert(all.end(), bytes.begin(), bytes.end());
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(sdmc_checksum(all)));
+  EXPECT_STREQ(hex, "26731f53d90581ce");
 }
 
 // --- synthetic bulk ---------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -59,6 +60,37 @@ TEST(FaultPoints, ArmedHookThrowsPlannedKind) {
   EXPECT_THROW(SD_FAULT_POINT("p.parse"), ParseError);
   EXPECT_THROW(SD_FAULT_POINT("p.resolve"), ResolveError);
   SD_FAULT_POINT("p.unplanned");  // armed but unmatched: silent
+}
+
+TEST(FaultPoints, ImageFaultFiresOnTheCachedPath) {
+  // A warm repository parses its images from the model cache instead of
+  // emitting them; the "adf.image" point must still fire there, and the
+  // unsatisfied once-guard must retry (from the cache) once disarmed.
+  FrameworkConfig cfg;
+  cfg.bulk_classes = 30;
+  cfg.bulk_packages = 4;
+  const std::string dir = ::testing::TempDir() + "faults_image_cache";
+  std::filesystem::remove_all(dir);
+  const int level = 24;
+  const FrameworkRepository cold{cfg};
+  cold.set_model_cache_dir(dir);
+  (void)cold.substrate(level);
+
+  const FrameworkRepository warm{cfg};
+  warm.set_model_cache_dir(dir);
+  const std::uint64_t retries_before = framework_build_retries();
+  {
+    FaultPlan plan;
+    plan.faults.push_back({"adf.image", "", FaultSpec::Kind::kInjected});
+    const FaultScope scope{plan};
+    EXPECT_THROW((void)warm.image(level), InjectedFault);
+    EXPECT_THROW((void)warm.substrate(level), InjectedFault);
+  }
+  EXPECT_EQ(warm.image_cache_hits(), 0u);
+  EXPECT_EQ(warm.image(level).serialize(), cold.image(level).serialize());
+  EXPECT_EQ(warm.image_cache_hits(), 1u);
+  EXPECT_EQ(framework_build_retries() - retries_before, 2u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FaultContextScope, NestsAndRestores) {

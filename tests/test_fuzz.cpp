@@ -258,13 +258,15 @@ TEST(Fuzz, AcceptedMutantsSurviveAnalysis) {
 
 /// Small framework shared by the sdmc sweeps (built once — mining even a
 /// 30-class spec per test case would dominate the suite).
+FrameworkConfig sdmc_fuzz_config() {
+  FrameworkConfig cfg;
+  cfg.bulk_classes = 30;
+  cfg.bulk_packages = 4;
+  return cfg;
+}
+
 const FrameworkRepository& sdmc_fuzz_repo() {
-  static const FrameworkRepository repo{[] {
-    FrameworkConfig cfg;
-    cfg.bulk_classes = 30;
-    cfg.bulk_packages = 4;
-    return cfg;
-  }()};
+  static const FrameworkRepository repo{sdmc_fuzz_config()};
   return repo;
 }
 
@@ -494,6 +496,53 @@ TEST(SdmcFuzz, SubstrateTableBitFlipsRejectOrRebindSafely) {
   // The checksum lives in the container, not here — some flips must
   // survive or this proves the decoder rejects everything.
   (void)rebound;
+}
+
+TEST(SdmcFuzz, SubstrateEntryImageDamageNeverStales) {
+  // A warm repository parses its framework image from the kind-2 entry.
+  // Sweep truncations and bit flips across the entry's image section: a
+  // fresh repository over the damaged directory must emit instead (never
+  // serve a damaged image), rebuild the substrate, and rewrite the entry.
+  const int level = 23;
+  const std::string dir = ::testing::TempDir() + "sdmc_fuzz_image";
+  std::filesystem::remove_all(dir);
+  const FrameworkRepository cold{sdmc_fuzz_config()};
+  cold.set_model_cache_dir(dir);
+  const auto tables = cold.substrate(level)->serialize_tables();
+  const auto image = cold.image(level).serialize();
+  const std::string entry = dir + "/substrate-" + cold.fingerprint() + "-L" +
+                            std::to_string(level) + "-m1.sdmc";
+  const auto healthy = read_file_bytes(entry);
+  ASSERT_TRUE(healthy.has_value());
+  // The payload (ULEB image length, image, tables) ends the container.
+  const std::size_t tables_at = healthy->size() - tables.size();
+  const std::size_t image_at = tables_at - image.size();
+
+  const auto check = [&](const std::vector<std::uint8_t>& damaged) {
+    write_file_atomic(entry, damaged);
+    const FrameworkRepository repo{sdmc_fuzz_config()};
+    repo.set_model_cache_dir(dir);
+    EXPECT_EQ(repo.image(level).serialize(), image);
+    EXPECT_EQ(repo.image_cache_hits(), 0u);
+    EXPECT_EQ(repo.substrate(level)->serialize_tables(), tables);
+    EXPECT_EQ(read_file_bytes(entry), healthy);
+  };
+  for (std::size_t cut = image_at; cut < tables_at;
+       cut += 1 + (cut - image_at) / 2) {
+    SCOPED_TRACE("cut=" + std::to_string(cut));
+    check({healthy->begin(), healthy->begin() + static_cast<long>(cut)});
+  }
+  Rng rng{0x1AA6EULL};
+  for (int trial = 0; trial < 24; ++trial) {
+    auto damaged = *healthy;
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform(static_cast<std::int64_t>(image_at),
+                    static_cast<std::int64_t>(tables_at) - 1));
+    damaged[pos] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
+    SCOPED_TRACE("flip at " + std::to_string(pos));
+    check(damaged);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- journal line fuzzing ------------------------------------------------------

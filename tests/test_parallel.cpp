@@ -1,11 +1,14 @@
 // Tests for the parallel batch engine: the support thread pool and the
 // determinism contract of run_suite_parallel (identical rows to the serial
 // harness for any worker count — the property every throughput number in
-// BENCH_parallel.json silently depends on).
+// BENCH_parallel.json silently depends on), including the parallel warm
+// start from a model cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -13,10 +16,12 @@
 #include <vector>
 
 #include "adf/repository.hpp"
+#include "core/model_cache.hpp"
 #include "core/saintdroid.hpp"
 #include "support/thread_pool.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/harness.hpp"
+#include "workload/journal.hpp"
 
 namespace saintdroid {
 namespace {
@@ -174,6 +179,57 @@ TEST(RunSuiteParallel, MatchesSerialRowForRowAtAnyJobCount) {
       EXPECT_EQ(p.usage.loaded_classes, s.usage.loaded_classes);
     }
   }
+}
+
+TEST(RunSuiteParallel, WarmStartJournalsEqualColdAtAnyJobCount) {
+  // The batch/work warm start over fresh repositories sharing one model
+  // cache: the cold run emits, mines and stores; each warm run parses its
+  // images and rebinds its substrates from the cache in a parallel
+  // warm-up. Journals must be byte-identical in canonical rows.
+  FrameworkConfig cfg;
+  cfg.bulk_classes = 400;
+  cfg.bulk_packages = 12;
+  const std::string dir = ::testing::TempDir() + "parallel_warm_start";
+  std::filesystem::remove_all(dir);
+  std::vector<BenchApp> apps;
+  std::string cold;
+  for (const auto& [warm, jobs] :
+       {std::pair{false, 1}, std::pair{true, 1}, std::pair{true, 4}}) {
+    SCOPED_TRACE(std::string{warm ? "warm" : "cold"} +
+                 " jobs=" + std::to_string(jobs));
+    const FrameworkRepository repo{cfg};
+    if (apps.empty()) apps = accuracy_bench(repo);
+    const auto db = ModelCache{dir}.api_database(repo, jobs);
+    WarmupStats warmup;
+    SuiteRunOptions options;
+    options.jobs = jobs;
+    options.journal_path = dir + "/rows-" + std::to_string(warm) + "-" +
+                           std::to_string(jobs) + ".jsonl";
+    options.model_cache_dir = dir;
+    options.repository = &repo;
+    options.warmup = [&] { warmup = warm_target_levels(repo, apps, jobs); };
+    (void)run_suite_parallel(
+        [&] { return std::make_unique<SaintDroid>(repo, db); }, apps,
+        options);
+
+    std::vector<std::string> lines;
+    for (const auto& row : load_journal(options.journal_path))
+      lines.push_back(canonical_row_bytes(row));
+    std::sort(lines.begin(), lines.end());
+    std::string rows;
+    for (const auto& line : lines) rows += line + "\n";
+    ASSERT_EQ(lines.size(), apps.size());
+    EXPECT_GT(warmup.levels, 1u);
+    if (!warm) {
+      cold = rows;
+      EXPECT_EQ(warmup.image_cache_hits, 0u);
+      continue;
+    }
+    EXPECT_EQ(rows, cold);
+    EXPECT_EQ(warmup.image_cache_hits, warmup.levels);
+    EXPECT_EQ(warmup.substrate_cache_hits, warmup.levels);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunSuiteParallel, SharedDatabaseIsNotRemined) {

@@ -15,6 +15,8 @@
 //     partial rows, never a wedged worker.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
@@ -47,7 +49,10 @@ namespace saintdroid {
 namespace {
 
 std::string temp_dir(const std::string& name) {
-  const std::string root = ::testing::TempDir() + name;
+  // Process-unique: ctest runs this binary's tests as concurrent
+  // processes, and the suite fixture rebuilds its shared corpus directory.
+  const std::string root =
+      ::testing::TempDir() + name + "-" + std::to_string(::getpid());
   std::filesystem::remove_all(root);
   return root;
 }

@@ -112,6 +112,39 @@ TEST_F(ToolsEndToEnd, RejectsCorruptPackage) {
   EXPECT_NE(out.find("parse error"), std::string::npos);
 }
 
+TEST_F(ToolsEndToEnd, BatchRefusesCorruptPackagesBeforeAnyRow) {
+  // Packages are read and parsed on a worker pool, but the contract is
+  // the serial one: exit 2 before any analysis or journal row, naming the
+  // first bad package in input order whichever worker met it first.
+  auto [gen_rc, gen_out] =
+      run(std::string(tool_dir()) + "/apkgen corpus tool_test_tmp/mixed 6");
+  ASSERT_EQ(gen_rc, 0) << gen_out;
+  for (const char* name : {"bad_first.apk", "bad_second.apk"}) {
+    std::ofstream bad{std::string{"tool_test_tmp/mixed/"} + name,
+                      std::ios::binary};
+    bad << "not an apk";
+  }
+  std::string files;
+  for (int i = 0; i < 6; ++i) {
+    files += " tool_test_tmp/mixed/fdroid-app-" + std::to_string(i) + ".apk";
+    if (i == 2) files += " tool_test_tmp/mixed/bad_first.apk";
+    if (i == 4) files += " tool_test_tmp/mixed/bad_second.apk";
+  }
+  fs::remove("tool_test_tmp/mixed.jsonl");
+  for (const char* jobs : {"1", "4"}) {
+    auto [rc, out] = run(std::string(tool_dir()) + "/saintdroid batch" +
+                         files + " --jobs " + jobs +
+                         " --journal tool_test_tmp/mixed.jsonl");
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << out;
+    EXPECT_NE(out.find("tool_test_tmp/mixed/bad_first.apk: parse error"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("bad_second"), std::string::npos) << out;
+    EXPECT_EQ(out.find("mismatch"), std::string::npos) << out;  // no rows
+    EXPECT_FALSE(fs::exists("tool_test_tmp/mixed.jsonl"));
+  }
+}
+
 TEST_F(ToolsEndToEnd, UsageOnBadArguments) {
   auto [rc, out] = run(std::string(tool_dir()) + "/saintdroid");
   EXPECT_NE(WEXITSTATUS(rc), 0);

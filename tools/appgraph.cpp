@@ -5,13 +5,15 @@
 //   appgraph <apk-file> [--stats]
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "adf/repository.hpp"
 #include "clvm/clvm.hpp"
 #include "core/callgraph.hpp"
 #include "support/errors.hpp"
+#include "support/sdmc.hpp"
 
 namespace sd = saintdroid;
 
@@ -23,11 +25,13 @@ int main(int argc, char** argv) {
   const bool stats_only = argc > 2 && std::strcmp(argv[2], "--stats") == 0;
 
   try {
-    std::ifstream in{argv[1], std::ios::binary};
-    if (!in) throw sd::Error(std::string{"cannot open "} + argv[1]);
-    const std::vector<std::uint8_t> bytes{
-        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-    const sd::Apk apk = sd::Apk::parse(bytes);
+    std::optional<std::vector<std::uint8_t>> bytes;
+    try {
+      bytes = sd::read_file_bytes(argv[1]);
+    } catch (const sd::Error&) {
+    }
+    if (!bytes) throw sd::Error(std::string{"cannot open "} + argv[1]);
+    const sd::Apk apk = sd::Apk::parse(*bytes);
 
     const auto& repo = sd::FrameworkRepository::standard();
     const int level =
