@@ -1,14 +1,20 @@
-// Unit tests for the support layer: byte I/O, interval algebra, RNG,
-// statistics, interning and logging.
+// Unit tests for the support layer: byte I/O, whole-file reads, interval
+// algebra, RNG, statistics, interning and logging.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <thread>
 
 #include "support/bytes.hpp"
 #include "support/interner.hpp"
 #include "support/interval.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
+#include "support/sdmc.hpp"
 #include "support/stats.hpp"
 
 namespace saintdroid {
@@ -102,6 +108,50 @@ TEST(Bytes, OverlongUlebThrows) {
   std::vector<std::uint8_t> bad(11, 0x80);
   ByteReader r{bad};
   EXPECT_THROW(r.uleb(), ParseError);
+}
+
+TEST(Bytes, ViewIsBoundsCheckedAndCopyFree) {
+  const std::vector<std::uint8_t> data{1, 2, 3, 4, 5};
+  ByteReader r{data};
+  const auto head = r.bytes(2);
+  EXPECT_EQ(head.data(), data.data());  // a view, not a copy
+  EXPECT_EQ(head.size(), 2u);
+  EXPECT_EQ(r.offset(), 2u);
+  EXPECT_THROW(r.bytes(4), ParseError);  // only 3 remain
+  EXPECT_EQ(r.bytes(3).back(), 5);
+  EXPECT_TRUE(r.at_end());
+}
+
+// --- whole-file reads ----------------------------------------------------------
+
+TEST(ReadFileBytes, RegularMissingDirectoryAndPipe) {
+  const std::string dir = ::testing::TempDir() + "read_file_bytes";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<std::uint8_t> payload(200000);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<std::uint8_t>(i * 31);
+
+  write_file_atomic(dir + "/file", payload);
+  EXPECT_EQ(read_file_bytes(dir + "/file"), payload);
+  write_file_atomic(dir + "/empty", {});
+  EXPECT_EQ(read_file_bytes(dir + "/empty"), std::vector<std::uint8_t>{});
+  EXPECT_EQ(read_file_bytes(dir + "/missing"), std::nullopt);
+  EXPECT_EQ(read_file_bytes(dir + "/file/under-a-file"), std::nullopt);
+  EXPECT_THROW((void)read_file_bytes(dir), ConfigError);
+
+  // A pipe reports no size: it is read to EOF, across several chunks.
+  const std::string fifo = dir + "/fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer{[&] {
+    std::ofstream out{fifo, std::ios::binary};
+    out.write(reinterpret_cast<const char*>(payload.data()),
+              static_cast<std::streamsize>(payload.size()));
+  }};
+  const auto piped = read_file_bytes(fifo);
+  writer.join();
+  EXPECT_EQ(piped, payload);
+  std::filesystem::remove_all(dir);
 }
 
 // --- interval ----------------------------------------------------------------
