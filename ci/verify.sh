@@ -22,8 +22,9 @@ echo "=== incremental equivalence gate: test_incremental ==="
 # from-scratch proof fails loudly under its own name.
 ./build/tests/test_incremental
 
-echo "=== doc-drift lint: docs/*.md flags vs saintdroid --help ==="
-tools/check_doc_drift.sh ./build/tools/saintdroid docs
+echo "=== doc-drift lint: docs/*.md + README.md flags vs saintdroid --help ==="
+# Also registered with ctest (doc_drift); run standalone to fail by name.
+tools/check_doc_drift.sh ./build/tools/saintdroid docs README.md
 
 echo "=== serve smoke: daemon up, one vetted request, clean SIGTERM ==="
 smoke="$(mktemp -d)"

@@ -33,6 +33,10 @@ std::vector<std::uint8_t> substrate_entry_payload(
   return w.take();
 }
 
+/// Option bits of every kind-2 key, and the `-m1` file-name suffix: the
+/// format's record that substrates index their methods (docs/FORMAT.md).
+constexpr std::uint32_t kSubstrateEntryOptions = 1;
+
 struct SubstrateEntry {
   std::span<const std::uint8_t> image;
   std::span<const std::uint8_t> tables;
@@ -90,15 +94,11 @@ const DexFile& FrameworkRepository::image(int level) const {
 std::optional<DexFile> FrameworkRepository::load_cached_image(int lvl) const {
   const std::string cache_dir = model_cache_dir();
   if (cache_dir.empty()) return std::nullopt;
-  // The default-options substrate entry carries the image (every entry
-  // does; this is the one the warm paths write and read).
-  const bool index_methods = SubstrateOptions{}.index_methods;
   try {
-    const auto blob =
-        read_file_bytes(substrate_entry_path(cache_dir, lvl, index_methods));
+    const auto blob = read_file_bytes(substrate_entry_path(cache_dir, lvl));
     if (!blob) return std::nullopt;
     const std::vector<std::uint8_t> payload =
-        sdmc_open(*blob, substrate_entry_key(lvl, index_methods));
+        sdmc_open(*blob, substrate_entry_key(lvl));
     DexFile img = DexFile::parse(split_substrate_entry(payload).image);
     image_cache_hits_.fetch_add(1, std::memory_order_relaxed);
     return img;
@@ -112,18 +112,17 @@ std::optional<DexFile> FrameworkRepository::load_cached_image(int lvl) const {
 }
 
 std::string FrameworkRepository::substrate_entry_path(
-    const std::string& cache_dir, int lvl, bool index_methods) const {
+    const std::string& cache_dir, int lvl) const {
   return cache_dir + "/substrate-" + fingerprint_ + "-L" +
-         std::to_string(lvl) + "-m" + (index_methods ? "1" : "0") + ".sdmc";
+         std::to_string(lvl) + "-m1.sdmc";
 }
 
-SdmcKey FrameworkRepository::substrate_entry_key(int lvl,
-                                                 bool index_methods) const {
+SdmcKey FrameworkRepository::substrate_entry_key(int lvl) const {
   SdmcKey key;
   key.kind = SdmcKind::kSubstrateTables;
   key.fingerprint = fingerprint_;
   key.level = lvl;
-  key.options = index_methods ? 1u : 0u;
+  key.options = kSubstrateEntryOptions;
   return key;
 }
 
@@ -143,20 +142,15 @@ const FrameworkClassIndex& FrameworkRepository::class_index(int level) const {
 }
 
 std::shared_ptr<const FrameworkSubstrate> FrameworkRepository::substrate(
-    int level, SubstrateOptions options) const {
+    int level) const {
   const int lvl = clamp_level(level);
-  SubstrateSlot* slot = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock{substrate_mutex_};
-    auto& entry = substrates_[SubstrateKey{lvl, options.index_methods}];
-    if (!entry) entry = std::make_unique<SubstrateSlot>();
-    slot = entry.get();
-  }
+  const auto slot_idx = static_cast<std::size_t>(lvl);
+  auto& slot = substrates_[slot_idx];
   // Build the image before entering the substrate's fault context so an
   // "adf.image" fault keeps its own (app-scoped) attribution.
   const DexFile& img = image(lvl);
-  slot->once.call([&] {
-    count_attempt(slot->attempts);
+  substrate_once_[slot_idx].call([&] {
+    count_attempt(substrate_attempts_[slot_idx]);
     // The substrate is a shared artifact with no single app owner, so its
     // fault point fires under a level-scoped context: a plan can poison
     // exactly one level's substrate and every analysis against that level
@@ -174,34 +168,31 @@ std::shared_ptr<const FrameworkSubstrate> FrameworkRepository::substrate(
     // the build itself.
     const std::string cache_dir = model_cache_dir();
     std::string cache_path;
-    const SdmcKey key = substrate_entry_key(lvl, options.index_methods);
+    const SdmcKey key = substrate_entry_key(lvl);
     if (!cache_dir.empty()) {
-      cache_path = substrate_entry_path(cache_dir, lvl, options.index_methods);
+      cache_path = substrate_entry_path(cache_dir, lvl);
       const bool stale =
-          options.index_methods == SubstrateOptions{}.index_methods &&
-          stale_entries_[static_cast<std::size_t>(lvl)].load(
-              std::memory_order_relaxed);
+          stale_entries_[slot_idx].load(std::memory_order_relaxed);
       try {
         const auto blob = stale ? std::nullopt : read_file_bytes(cache_path);
         if (blob) {
           const std::vector<std::uint8_t> payload = sdmc_open(*blob, key);
-          slot->value = std::make_shared<const FrameworkSubstrate>(
-              img, lvl, options, split_substrate_entry(payload).tables);
+          slot = std::make_shared<const FrameworkSubstrate>(
+              img, lvl, split_substrate_entry(payload).tables);
           substrate_cache_hits_.fetch_add(1, std::memory_order_relaxed);
         }
       } catch (const Error&) {
-        slot->value = nullptr;  // stale/corrupt entry: fall back to mining
+        slot = nullptr;  // stale/corrupt entry: fall back to mining
       }
     }
-    if (!slot->value) {
-      slot->value =
-          std::make_shared<const FrameworkSubstrate>(img, lvl, options);
+    if (!slot) {
+      slot = std::make_shared<const FrameworkSubstrate>(img, lvl);
       if (!cache_path.empty()) {
         try {
           write_file_atomic(
               cache_path,
               sdmc_seal(key, substrate_entry_payload(
-                                 img, slot->value->serialize_tables())));
+                                 img, slot->serialize_tables())));
           substrate_cache_stores_.fetch_add(1, std::memory_order_relaxed);
         } catch (const Error&) {
           // A read-only or full cache directory costs only the warm start.
@@ -210,7 +201,7 @@ std::shared_ptr<const FrameworkSubstrate> FrameworkRepository::substrate(
     }
     substrate_builds_.fetch_add(1, std::memory_order_relaxed);
   });
-  return slot->value;
+  return slot;
 }
 
 int FrameworkRepository::clamp_level(int level) {

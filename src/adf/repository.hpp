@@ -7,23 +7,22 @@
 // immutable default so tests and benches share one build.
 //
 // Besides the raw images and their class-name indexes, the repository
-// caches one FrameworkSubstrate per (level, SubstrateOptions) key — the
-// shared, immutable, eagerly-materialized framework layer of the class
-// hierarchy that per-app analyses point into instead of re-materializing
-// (see clvm/substrate.hpp and docs/ARCHITECTURE.md). Each key is built
-// once under its own exception-safe once-guard and handed out as shared_ptr<const>.
+// caches one FrameworkSubstrate per level — the shared, immutable,
+// eagerly-materialized framework layer of the class hierarchy that
+// per-app analyses point into instead of re-materializing (see
+// clvm/substrate.hpp and docs/ARCHITECTURE.md). Each level's substrate is
+// built once under its own exception-safe once-guard and handed out as
+// shared_ptr<const>.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "adf/image.hpp"
 #include "adf/synthetic.hpp"
@@ -60,16 +59,15 @@ class FrameworkRepository {
   /// table. Same concurrency contract as image().
   const FrameworkClassIndex& class_index(int level) const;
 
-  /// The shared framework substrate for (level, options), built on first
-  /// request under a per-key once-guard and immutable afterwards. The
+  /// The shared framework substrate for `level`, built on first request
+  /// under a per-level once-guard and immutable afterwards. The
   /// returned handle stays valid past the call (workers hold it across an
   /// analysis), but the repository must outlive every handle — substrate
   /// classes point into the repository's image. A build failure (e.g. an
   /// injected "adf.substrate" fault, fired under the level-scoped context
   /// "substrate:level<L>") propagates without satisfying the guard, so
   /// the next caller retries — one poisoned level never sinks the others.
-  std::shared_ptr<const FrameworkSubstrate> substrate(
-      int level, SubstrateOptions options = {}) const;
+  std::shared_ptr<const FrameworkSubstrate> substrate(int level) const;
 
   /// Completed substrate builds over this repository's lifetime — lets the
   /// stampede test assert that N concurrent first requests build once.
@@ -85,7 +83,7 @@ class FrameworkRepository {
   /// Points image and substrate materialization at an on-disk model
   /// cache: every image or substrate slot built after this call first
   /// tries the level's entry in `dir` (`substrate-<fingerprint>-L<level>
-  /// -m<o>.sdmc`, which holds the serialized image and the substrate's
+  /// -m1.sdmc`, which holds the serialized image and the substrate's
   /// structural tables) — parsing the image instead of emitting it, and
   /// rebinding the tables instead of re-deriving them from instruction
   /// streams; a miss builds normally and publishes the entry
@@ -119,22 +117,12 @@ class FrameworkRepository {
   static const FrameworkRepository& standard();
 
  private:
-  struct SubstrateSlot {
-    RetryOnce once;
-    std::atomic<std::uint32_t> attempts{0};
-    std::shared_ptr<const FrameworkSubstrate> value;
-  };
-  // (clamped level, options) -> slot; the map only hands out stable slot
-  // pointers, the build itself runs under the slot's once-guard outside the
-  // map lock so one slow level never serializes the others.
-  using SubstrateKey = std::pair<int, bool>;
-
-  /// image(lvl) from the cached default-options substrate entry, or
-  /// nullopt on a miss; an unusable entry also marks the level stale.
+  /// image(lvl) from the cached substrate entry, or nullopt on a miss; an
+  /// unusable entry also marks the level stale.
   std::optional<DexFile> load_cached_image(int lvl) const;
-  std::string substrate_entry_path(const std::string& cache_dir, int lvl,
-                                   bool index_methods) const;
-  SdmcKey substrate_entry_key(int lvl, bool index_methods) const;
+  std::string substrate_entry_path(const std::string& cache_dir,
+                                   int lvl) const;
+  SdmcKey substrate_entry_key(int lvl) const;
 
   FrameworkConfig cfg_;
   FrameworkSpec spec_;
@@ -146,8 +134,8 @@ class FrameworkRepository {
   mutable std::atomic<std::uint64_t> substrate_cache_hits_{0};
   mutable std::atomic<std::uint64_t> substrate_cache_stores_{0};
   mutable std::atomic<std::uint64_t> image_cache_hits_{0};
-  // Levels whose default-options entry image() could not use: their
-  // substrate build ignores the entry and overwrites it.
+  // Levels whose entry image() could not use: their substrate build
+  // ignores the entry and overwrites it.
   mutable std::array<std::atomic<bool>, kMaxApiLevel + 1> stale_entries_{};
   // Lazily built per level. The RetryOnce arrays serialize only the first
   // build of each slot (and, unlike std::call_once, stay retryable under
@@ -161,8 +149,12 @@ class FrameworkRepository {
   mutable std::array<std::optional<FrameworkClassIndex>, kMaxApiLevel + 1>
       indexes_;
   mutable std::array<RetryOnce, kMaxApiLevel + 1> index_once_;
-  mutable std::mutex substrate_mutex_;
-  mutable std::map<SubstrateKey, std::unique_ptr<SubstrateSlot>> substrates_;
+  mutable std::array<std::shared_ptr<const FrameworkSubstrate>,
+                     kMaxApiLevel + 1>
+      substrates_;
+  mutable std::array<RetryOnce, kMaxApiLevel + 1> substrate_once_;
+  mutable std::array<std::atomic<std::uint32_t>, kMaxApiLevel + 1>
+      substrate_attempts_{};
   mutable std::atomic<std::uint64_t> substrate_builds_{0};
 };
 

@@ -5,6 +5,14 @@
 
 namespace saintdroid {
 
+namespace {
+
+/// The tables' third field. Every substrate indexes its methods; the byte
+/// stays in the format (docs/FORMAT.md) so cached entries keep their bytes.
+constexpr std::uint8_t kIndexedTables = 1;
+
+}  // namespace
+
 void FrameworkSubstrate::materialize_classes(const DexFile& image) {
   by_name_.reserve(image.classes().size());
   for (const auto& def : image.classes()) {
@@ -28,17 +36,15 @@ void FrameworkSubstrate::materialize_classes(const DexFile& image) {
   }
 }
 
-FrameworkSubstrate::FrameworkSubstrate(const DexFile& image, int level,
-                                       SubstrateOptions options)
-    : level_(level), options_(options) {
+FrameworkSubstrate::FrameworkSubstrate(const DexFile& image, int level)
+    : level_(level) {
   materialize_classes(image);
 
   // Second pass, once the surviving entries are fixed: method tables plus
-  // invoke edges (when indexing).
+  // invoke edges.
   // Same method ref -> same callee identity; build each MethodId once.
   std::unordered_map<std::uint32_t, CalleeEdge> edges_by_ref;
   for (ClassEntry& entry : entries_) {
-    if (!options_.index_methods) continue;
     const auto& methods = entry.cls.def->methods;
     entry.methods.reserve(methods.size());
     for (const auto& m : methods) {
@@ -87,108 +93,104 @@ FrameworkSubstrate::FrameworkSubstrate(const DexFile& image, int level,
 }
 
 FrameworkSubstrate::FrameworkSubstrate(const DexFile& image, int level,
-                                       SubstrateOptions options,
                                        std::span<const std::uint8_t> tables)
-    : level_(level), options_(options) {
+    : level_(level) {
   materialize_classes(image);
 
   ByteReader r{tables};
   if (r.uleb() != entries_.size())
     throw ParseError("substrate tables: class count mismatch");
   const std::uint64_t stored_method_total = r.uleb();
-  const bool indexed = r.u8() != 0;
-  if (indexed != options_.index_methods)
+  if (r.u8() != kIndexedTables)
     throw ParseError("substrate tables: indexing mode mismatch");
 
-  if (indexed) {
-    // The deduplicated callee pool: identity strings plus the dense slot
-    // and resolved-method index computed by a full build's passes 2 and 3.
-    // Resolved pointers are bound after the method tables exist.
-    struct PoolEntry {
-      std::uint64_t target_slot_plus1 = 0;
-      std::uint64_t resolved_plus1 = 0;
-    };
-    const std::uint64_t pool_count = r.count(/*min_element_bytes=*/5);
-    std::vector<PoolEntry> pool_meta;
-    pool_meta.reserve(pool_count);
-    for (std::uint64_t i = 0; i < pool_count; ++i) {
-      MethodId id;
-      id.class_name = r.str();
-      id.name = r.str();
-      id.descriptor = r.str();
-      callee_pool_.push_back(std::move(id));
-      PoolEntry meta;
-      meta.target_slot_plus1 = r.uleb();
-      if (meta.target_slot_plus1 > entries_.size())
-        throw ParseError("substrate tables: callee target slot out of range");
-      meta.resolved_plus1 = r.uleb();
-      pool_meta.push_back(meta);
-    }
+  // The deduplicated callee pool: identity strings plus the dense slot
+  // and resolved-method index computed by a full build's passes 2 and 3.
+  // Resolved pointers are bound after the method tables exist.
+  struct PoolEntry {
+    std::uint64_t target_slot_plus1 = 0;
+    std::uint64_t resolved_plus1 = 0;
+  };
+  const std::uint64_t pool_count = r.count(/*min_element_bytes=*/5);
+  std::vector<PoolEntry> pool_meta;
+  pool_meta.reserve(pool_count);
+  for (std::uint64_t i = 0; i < pool_count; ++i) {
+    MethodId id;
+    id.class_name = r.str();
+    id.name = r.str();
+    id.descriptor = r.str();
+    callee_pool_.push_back(std::move(id));
+    PoolEntry meta;
+    meta.target_slot_plus1 = r.uleb();
+    if (meta.target_slot_plus1 > entries_.size())
+      throw ParseError("substrate tables: callee target slot out of range");
+    meta.resolved_plus1 = r.uleb();
+    pool_meta.push_back(meta);
+  }
 
-    // Method tables: descriptors come from the payload (skipping
-    // descriptor_of), names and definitions rebind into the image.
-    // Per-method edge lists are kept as pool indices until the pool's
-    // CalleeEdge values can be completed below.
-    std::vector<std::uint32_t> edge_indices;
-    std::vector<std::pair<std::size_t, std::size_t>> edge_ranges;
-    for (ClassEntry& entry : entries_) {
-      const auto& methods = entry.cls.def->methods;
-      if (r.count(/*min_element_bytes=*/2) != methods.size())
-        throw ParseError("substrate tables: method count mismatch");
-      entry.methods.reserve(methods.size());
-      for (const auto& m : methods) {
-        MethodEntry& me = entry.methods.emplace_back();
-        me.def = &m;
-        me.name = image.string_at(m.name);
-        me.descriptor = r.str();
-        me.slot = static_cast<std::uint32_t>(method_count_++);
-        const std::uint64_t edge_count = r.count(/*min_element_bytes=*/1);
-        edge_ranges.emplace_back(edge_indices.size(),
-                                 static_cast<std::size_t>(edge_count));
-        for (std::uint64_t e = 0; e < edge_count; ++e) {
-          const std::uint64_t idx = r.uleb();
-          if (idx >= pool_count)
-            throw ParseError("substrate tables: edge pool index out of range");
-          edge_indices.push_back(static_cast<std::uint32_t>(idx));
-        }
+  // Method tables: descriptors come from the payload (skipping
+  // descriptor_of), names and definitions rebind into the image.
+  // Per-method edge lists are kept as pool indices until the pool's
+  // CalleeEdge values can be completed below.
+  std::vector<std::uint32_t> edge_indices;
+  std::vector<std::pair<std::size_t, std::size_t>> edge_ranges;
+  for (ClassEntry& entry : entries_) {
+    const auto& methods = entry.cls.def->methods;
+    if (r.count(/*min_element_bytes=*/2) != methods.size())
+      throw ParseError("substrate tables: method count mismatch");
+    entry.methods.reserve(methods.size());
+    for (const auto& m : methods) {
+      MethodEntry& me = entry.methods.emplace_back();
+      me.def = &m;
+      me.name = image.string_at(m.name);
+      me.descriptor = r.str();
+      me.slot = static_cast<std::uint32_t>(method_count_++);
+      const std::uint64_t edge_count = r.count(/*min_element_bytes=*/1);
+      edge_ranges.emplace_back(edge_indices.size(),
+                               static_cast<std::size_t>(edge_count));
+      for (std::uint64_t e = 0; e < edge_count; ++e) {
+        const std::uint64_t idx = r.uleb();
+        if (idx >= pool_count)
+          throw ParseError("substrate tables: edge pool index out of range");
+        edge_indices.push_back(static_cast<std::uint32_t>(idx));
       }
     }
+  }
 
-    // Complete the pool edges now that every method table is fixed, then
-    // fan them out into the per-method callee lists — the bulk-rebind
-    // equivalent of passes 2 and 3.
-    std::vector<CalleeEdge> pool_edges(callee_pool_.size());
-    std::size_t pool_index = 0;
-    for (const MethodId& id : callee_pool_) {
-      CalleeEdge& edge = pool_edges[pool_index];
-      edge.id = &id;
-      const PoolEntry& meta = pool_meta[pool_index];
-      if (meta.target_slot_plus1 != 0) {
-        const auto slot =
-            static_cast<std::uint32_t>(meta.target_slot_plus1 - 1);
-        edge.target = &entries_[slot].cls;
-        edge.target_slot = slot;
-        if (meta.resolved_plus1 != 0) {
-          if (meta.resolved_plus1 > entries_[slot].methods.size())
-            throw ParseError(
-                "substrate tables: resolved method index out of range");
-          edge.resolved = &entries_[slot]
-                               .methods[static_cast<std::size_t>(
-                                   meta.resolved_plus1 - 1)];
-        }
-      } else if (meta.resolved_plus1 != 0) {
-        throw ParseError("substrate tables: resolved edge without target");
+  // Complete the pool edges now that every method table is fixed, then
+  // fan them out into the per-method callee lists — the bulk-rebind
+  // equivalent of passes 2 and 3.
+  std::vector<CalleeEdge> pool_edges(callee_pool_.size());
+  std::size_t pool_index = 0;
+  for (const MethodId& id : callee_pool_) {
+    CalleeEdge& edge = pool_edges[pool_index];
+    edge.id = &id;
+    const PoolEntry& meta = pool_meta[pool_index];
+    if (meta.target_slot_plus1 != 0) {
+      const auto slot =
+          static_cast<std::uint32_t>(meta.target_slot_plus1 - 1);
+      edge.target = &entries_[slot].cls;
+      edge.target_slot = slot;
+      if (meta.resolved_plus1 != 0) {
+        if (meta.resolved_plus1 > entries_[slot].methods.size())
+          throw ParseError(
+              "substrate tables: resolved method index out of range");
+        edge.resolved = &entries_[slot]
+                             .methods[static_cast<std::size_t>(
+                                 meta.resolved_plus1 - 1)];
       }
-      ++pool_index;
+    } else if (meta.resolved_plus1 != 0) {
+      throw ParseError("substrate tables: resolved edge without target");
     }
-    std::size_t range_index = 0;
-    for (ClassEntry& entry : entries_) {
-      for (MethodEntry& me : entry.methods) {
-        const auto [offset, count] = edge_ranges[range_index++];
-        me.callees.reserve(count);
-        for (std::size_t e = 0; e < count; ++e)
-          me.callees.push_back(pool_edges[edge_indices[offset + e]]);
-      }
+    ++pool_index;
+  }
+  std::size_t range_index = 0;
+  for (ClassEntry& entry : entries_) {
+    for (MethodEntry& me : entry.methods) {
+      const auto [offset, count] = edge_ranges[range_index++];
+      me.callees.reserve(count);
+      for (std::size_t e = 0; e < count; ++e)
+        me.callees.push_back(pool_edges[edge_indices[offset + e]]);
     }
   }
 
@@ -202,8 +204,7 @@ std::vector<std::uint8_t> FrameworkSubstrate::serialize_tables() const {
   ByteWriter w;
   w.uleb(entries_.size());
   w.uleb(method_count_);
-  w.u8(options_.index_methods ? 1 : 0);
-  if (!options_.index_methods) return w.take();
+  w.u8(kIndexedTables);
 
   // Pool indices keyed by the shared MethodId addresses (pool order is
   // first-encounter order of the build, itself deterministic).

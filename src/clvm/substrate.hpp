@@ -7,12 +7,12 @@
 // touched (string building plus a full instruction walk for the footprint)
 // for every app in a batch. The substrate hoists that work out of the
 // per-app loop: it eagerly materializes every framework class of one
-// (level, options) image into stable LoadedClass objects exactly once, and
+// level's image into stable LoadedClass objects exactly once, and
 // per-app loaders hand out pointers into it, charging the precomputed
 // footprint so memory accounting stays byte-identical to private
-// materialization. FrameworkRepository caches one substrate per
-// (level, options) key under an exception-safe once-guard and shares it as
-// shared_ptr<const> across workers.
+// materialization. FrameworkRepository caches one substrate per level
+// under an exception-safe once-guard and shares it as shared_ptr<const>
+// across workers.
 //
 // Beyond the classes themselves, the substrate precomputes everything the
 // hot hierarchy queries would otherwise redo per app:
@@ -40,18 +40,6 @@
 #include "clvm/class_provider.hpp"
 
 namespace saintdroid {
-
-/// Keying knobs for a substrate. Part of the repository cache key: two
-/// analyses share a substrate iff they agree on (level, options).
-struct SubstrateOptions {
-  /// Build the per-class method tables and invoke edges (the resolution
-  /// and framework-walk fast paths). Off trades memory for the same
-  /// linear scans an unshared analysis performs.
-  bool index_methods = true;
-
-  friend bool operator==(const SubstrateOptions&,
-                         const SubstrateOptions&) = default;
-};
 
 class FrameworkSubstrate {
  public:
@@ -96,14 +84,13 @@ class FrameworkSubstrate {
     /// The substrate class cls.super_name resolves to, or nullptr (root
     /// class, or super not in the image).
     const ClassEntry* super = nullptr;
-    /// Declaration-order method table; empty when index_methods is off.
+    /// Declaration-order method table.
     std::vector<MethodEntry> methods;
   };
 
   /// Materializes every class of `image`. `image` must outlive the
   /// substrate (the repository owns both and keeps them together).
-  FrameworkSubstrate(const DexFile& image, int level,
-                     SubstrateOptions options);
+  FrameworkSubstrate(const DexFile& image, int level);
 
   /// Rebinds a substrate from previously serialized structural tables
   /// instead of re-deriving them from the image's instruction streams: the
@@ -114,14 +101,13 @@ class FrameworkSubstrate {
   /// resolution scans — become a bounds-checked bulk read of `tables`,
   /// with every stored slot and index rebound to a pointer into this
   /// substrate. `tables` must be the serialize_tables() output of a
-  /// substrate built from an identical (image, options) pair — the model
-  /// cache guarantees this via its (fingerprint, level, options) key —
+  /// substrate built from an identical image — the model cache
+  /// guarantees this via its (fingerprint, level) key —
   /// and the resulting substrate is structurally identical to a full
   /// build (serialize_tables round-trips byte-for-byte). Throws ParseError
   /// on any truncation, count mismatch against the image, or out-of-range
   /// slot.
   FrameworkSubstrate(const DexFile& image, int level,
-                     SubstrateOptions options,
                      std::span<const std::uint8_t> tables);
 
   /// Serializes the structural tables — per-entry method-table layouts
@@ -137,9 +123,8 @@ class FrameworkSubstrate {
   FrameworkSubstrate& operator=(const FrameworkSubstrate&) = delete;
 
   int level() const { return level_; }
-  const SubstrateOptions& options() const { return options_; }
   std::size_t class_count() const { return entries_.size(); }
-  /// Methods indexed across all classes (0 when index_methods is off).
+  /// Methods indexed across all classes.
   std::size_t method_count() const { return method_count_; }
   std::uint64_t total_footprint() const { return total_footprint_; }
 
@@ -167,7 +152,6 @@ class FrameworkSubstrate {
   void materialize_classes(const DexFile& image);
 
   int level_;
-  SubstrateOptions options_;
   std::uint64_t total_footprint_ = 0;
   std::size_t method_count_ = 0;
   std::deque<ClassEntry> entries_;  // deque: stable addresses, no realloc

@@ -481,7 +481,7 @@ void Aum::scan_entry_points(const Apk& apk, UsageModel& model,
   scope_violation_ = false;
 
   const FrameworkSubstrate* substrate = hierarchy_->substrate();
-  use_fast_walk_ = substrate != nullptr && substrate->options().index_methods;
+  use_fast_walk_ = substrate != nullptr;
   walked_fast_.assign(use_fast_walk_ ? substrate->method_count() : 0, 0);
 
   const ApiInterval app_range =

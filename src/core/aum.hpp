@@ -291,7 +291,7 @@ class Aum {
   /// a widened context replays the same branches).
   std::unordered_set<std::uint64_t> guard_check_sites_;
   std::unordered_map<MethodId, bool> framework_walked_;
-  /// True when the hierarchy runs over an indexed substrate: walks take
+  /// True when the hierarchy runs over a substrate: walks take
   /// the pointer path, with framework_walked_ kept only for callees whose
   /// class the substrate does not own.
   bool use_fast_walk_ = false;

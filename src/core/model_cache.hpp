@@ -1,7 +1,7 @@
 // ModelCache — zero-cold-start persistence for the mined models.
 //
 // Mining the ApiDatabase and materializing each FrameworkSubstrate are
-// pure functions of (framework, level, options), yet every process redid
+// pure functions of (framework, level), yet every process redid
 // them at startup — a tax on every `--shard i/N` worker, every short CLI
 // invocation, and fatally on a long-lived vetting daemon. The model cache
 // is a directory of `.sdmc` entries (support/sdmc.hpp) keyed by
@@ -9,7 +9,7 @@
 //
 //   apidb-<fingerprint>.sdmc              ApiDatabase::serialize payload
 //   semtab-<fingerprint>.sdmc             SemanticTable::serialize payload
-//   substrate-<fingerprint>-L<l>-m<o>.sdmc  level image + substrate tables
+//   substrate-<fingerprint>-L<l>-m1.sdmc   level image + substrate tables
 //
 // Loads are validate-then-bulk-read; any mismatch or corruption falls
 // back to mining (and the fresh result overwrites the bad entry), so the

@@ -128,7 +128,7 @@ AnalysisResult SaintDroid::analyze_at_level(const Apk& apk, int level) {
       // (first build of a poisoned level) fails this analysis in the
       // "framework" phase and the unsatisfied once-guard retries next time.
       if (options_.shared_substrate)
-        substrate = repo_->substrate(level, options_.substrate);
+        substrate = repo_->substrate(level);
       else
         framework_index = &repo_->class_index(level);
     }

@@ -30,15 +30,12 @@ struct SaintDroidOptions {
   /// ablation configuration; CID-style loading with SAINTDroid detection).
   bool lazy_loading = true;
   /// Point the CLVM and hierarchy at the repository's shared, immutable
-  /// per-(level, options) FrameworkSubstrate instead of materializing
+  /// per-level FrameworkSubstrate instead of materializing
   /// framework classes privately per analysis (lazy_loading only).
   /// Results — including memory accounting — are identical either way;
   /// sharing only removes the per-app re-materialization cost. False is
   /// the ablation/measurement configuration (BENCH_substrate.json).
   bool shared_substrate = true;
-  /// Keying knobs for the shared substrate (ignored when shared_substrate
-  /// is false). Analyses agreeing on (level, substrate) share one build.
-  SubstrateOptions substrate;
   /// Per-app resource limits (default: unlimited). Exhaustion degrades
   /// the run to a partial report flagged AnalysisResult::incomplete, with
   /// flat-scan-style API checks covering what exploration didn't reach —

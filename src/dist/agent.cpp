@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "adf/repository.hpp"
 #include "support/errors.hpp"
 #include "support/thread_pool.hpp"
 
@@ -84,6 +85,12 @@ AgentResult run_agent(const WorkDir& dir, const AgentOptions& options) {
     queue = dir.load_queue();
   }
 
+  // Attach the on-disk model cache before the first lease's warmup, so its
+  // substrate builds rebind from persisted tables (or persist them for the
+  // next process) instead of re-deriving everything per run.
+  if (options.repository != nullptr && !options.model_cache_dir.empty())
+    options.repository->set_model_cache_dir(options.model_cache_dir);
+
   AgentResult result;
   result.jobs = options.jobs <= 0
                     ? static_cast<int>(ThreadPool::default_workers())
@@ -143,8 +150,6 @@ AgentResult run_agent(const WorkDir& dir, const AgentOptions& options) {
     // journaled instead of re-analyzing them.
     run.resume = true;
     run.corpus_id = queue->corpus;
-    run.model_cache_dir = options.model_cache_dir;
-    run.repository = options.repository;
     run.stop = options.interrupted;
     if (options.warmup) {
       const auto& warmup = options.warmup;

@@ -56,7 +56,9 @@ struct AgentOptions {
   int max_leases = 0;
   AppResolver resolve;
   AnalyzerFactory factory;
-  /// Forwarded into SuiteRunOptions: on-disk model cache binding.
+  /// On-disk model cache: when both fields are set, `repository` is
+  /// pointed at `model_cache_dir` once the queue is found, before any
+  /// lease's warmup (see core/model_cache.hpp).
   std::string model_cache_dir;
   const FrameworkRepository* repository = nullptr;
   /// Per-lease warmup, called with the lease's slice before its fan-out.

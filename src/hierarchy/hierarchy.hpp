@@ -98,7 +98,6 @@ class ClassHierarchy {
   const FrameworkSubstrate::ClassEntry* substrate_entry(
       const LoadedClass& cls) const {
     if (substrate_ == nullptr || !cls.from_framework) return nullptr;
-    if (!substrate_->options().index_methods) return nullptr;
     return substrate_->entry_of(cls);
   }
 

@@ -59,7 +59,7 @@ struct SdmcKey {
   std::string fingerprint;
   /// API level for level-keyed artifacts (substrate tables); 0 otherwise.
   int level = 0;
-  /// Encoded option bits (substrate: bit 0 = index_methods); 0 otherwise.
+  /// Option bits (substrate tables: always 1, method-indexed); 0 otherwise.
   std::uint32_t options = 0;
 };
 

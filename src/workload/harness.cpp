@@ -8,7 +8,6 @@
 #include "adf/repository.hpp"
 #include "support/errors.hpp"
 #include "support/meter.hpp"
-#include "support/sdmc.hpp"
 #include "support/thread_pool.hpp"
 #include "workload/journal.hpp"
 
@@ -220,17 +219,6 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
     resumed[i] = 1;
     ++suite.resumed_rows;
   }
-
-  // Attach the on-disk model cache before warming, so the warmup's
-  // substrate builds rebind from persisted tables (or persist them for the
-  // next process) instead of re-deriving everything per run.
-  if (options.repository != nullptr && !options.model_cache_dir.empty())
-    options.repository->set_model_cache_dir(options.model_cache_dir);
-
-  // Create the incremental fact cache directory up front: a bad path fails
-  // the run here, loudly, instead of as a per-app store failure inside
-  // every worker.
-  if (!options.incr_cache_dir.empty()) ensure_directory(options.incr_cache_dir);
 
   // Warm shared immutable state (images, substrates) once, on this thread,
   // before any analyzer exists — the fan-out then reads hot caches.

@@ -206,21 +206,6 @@ struct SuiteRunOptions {
   /// fans the levels out itself). Must not throw; swallow per-level
   /// failures and let the analyses attribute them.
   std::function<void()> warmup;
-  /// On-disk model cache (see core/model_cache.hpp): when both fields are
-  /// set, `repository` is pointed at `model_cache_dir` before warmup runs,
-  /// so warmed substrates rebind from persisted tables instead of
-  /// re-deriving them — and a cold cache is populated for the next run.
-  /// Rows are byte-identical either way; only startup cost changes.
-  std::string model_cache_dir;
-  const FrameworkRepository* repository = nullptr;
-  /// Per-app incremental fact cache directory (core/incr_cache.hpp). The
-  /// harness ensures the directory exists before any worker starts (so a
-  /// bad path fails loudly up front, once, instead of per app) — the
-  /// analyzer factory is responsible for pointing its facades'
-  /// SaintDroidOptions::incr_cache at the same directory, as the CLI and
-  /// serve layers do. Rows are byte-identical with or without it; only
-  /// re-analysis cost and the sparse journal "incr" telemetry change.
-  std::string incr_cache_dir;
   /// Graceful-shutdown probe, polled between apps (never mid-analysis).
   /// Once it returns true, no further app is started: the in-flight apps
   /// finish and journal normally, the not-yet-started ones are skipped and

@@ -465,7 +465,7 @@ TEST(SdmcFuzz, SubstrateTableTruncationRejectsInRebind) {
   for (std::size_t cut = 0; cut < base.size(); cut += 1 + cut / 64) {
     std::span<const std::uint8_t> window(base.data(), cut);
     EXPECT_THROW(
-        (void)FrameworkSubstrate(img, level, SubstrateOptions{}, window),
+        (void)FrameworkSubstrate(img, level, window),
         ParseError)
         << "cut=" << cut;
   }
@@ -487,7 +487,7 @@ TEST(SdmcFuzz, SubstrateTableBitFlipsRejectOrRebindSafely) {
         rng.uniform(0, static_cast<std::int64_t>(bytes.size()) - 1));
     bytes[pos] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
     try {
-      const FrameworkSubstrate sub{img, level, SubstrateOptions{}, bytes};
+      const FrameworkSubstrate sub{img, level, bytes};
       (void)sub.serialize_tables();  // walks every entry, method and edge
       ++rebound;
     } catch (const ParseError&) {

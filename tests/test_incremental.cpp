@@ -328,7 +328,6 @@ TEST_F(ChainSuite, KilledBatchResumesToScratchRows) {
   SuiteRunOptions killed;
   killed.jobs = 2;
   killed.journal_path = journal;
-  killed.incr_cache_dir = cache->dir();
   std::atomic<int> polls{0};  // the stop poll races across workers
   killed.stop = [&polls] { return ++polls > kApps / 3; };
   const SuiteResult partial =
@@ -340,7 +339,6 @@ TEST_F(ChainSuite, KilledBatchResumesToScratchRows) {
   resumed.jobs = 4;
   resumed.journal_path = journal;
   resumed.resume = true;
-  resumed.incr_cache_dir = cache->dir();
   const SuiteResult finished =
       run_suite_parallel(incr_factory(cache), version(1), resumed);
   ASSERT_EQ(finished.rows.size(), static_cast<std::size_t>(kApps));

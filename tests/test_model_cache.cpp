@@ -26,6 +26,8 @@
 #include "core/model_cache.hpp"
 #include "core/saintdroid.hpp"
 #include "core/semantics.hpp"
+#include "dist/agent.hpp"
+#include "dist/coordinator.hpp"
 #include "support/bytes.hpp"
 #include "support/errors.hpp"
 #include "support/sdmc.hpp"
@@ -157,8 +159,7 @@ TEST(ModelCacheSubstrate, RebindMatchesFullBuildExactly) {
   const auto built = repo.substrate(level);
   const auto tables = built->serialize_tables();
 
-  const FrameworkSubstrate rebound{repo.image(level), level,
-                                   SubstrateOptions{}, tables};
+  const FrameworkSubstrate rebound{repo.image(level), level, tables};
   EXPECT_EQ(rebound.class_count(), built->class_count());
   EXPECT_EQ(rebound.method_count(), built->method_count());
   EXPECT_EQ(rebound.total_footprint(), built->total_footprint());
@@ -169,16 +170,6 @@ TEST(ModelCacheSubstrate, RebindMatchesFullBuildExactly) {
   const LoadedClass* cls = rebound.find_class("android/app/Activity");
   ASSERT_NE(cls, nullptr);
   EXPECT_NE(FrameworkSubstrate::entry_of(*cls), nullptr);
-
-  // The unindexed variant round-trips through its (much smaller) tables.
-  SubstrateOptions lean;
-  lean.index_methods = false;
-  const auto lean_built = repo.substrate(level, lean);
-  const auto lean_tables = lean_built->serialize_tables();
-  const FrameworkSubstrate lean_rebound{repo.image(level), level, lean,
-                                        lean_tables};
-  EXPECT_EQ(lean_rebound.serialize_tables(), lean_tables);
-  EXPECT_EQ(lean_rebound.method_count(), 0u);
 }
 
 TEST(ModelCacheSubstrate, RepositoryStoresThenLaterInstanceHits) {
@@ -197,14 +188,6 @@ TEST(ModelCacheSubstrate, RepositoryStoresThenLaterInstanceHits) {
   EXPECT_EQ(reader.substrate_cache_hits(), 1u);
   EXPECT_EQ(reader.substrate_cache_stores(), 0u);
   EXPECT_EQ(rebound->serialize_tables(), built->serialize_tables());
-
-  // Options are part of the key: the unindexed substrate is a distinct
-  // entry, so its first request stores rather than hits.
-  SubstrateOptions lean;
-  lean.index_methods = false;
-  (void)reader.substrate(23, lean);
-  EXPECT_EQ(reader.substrate_cache_hits(), 1u);
-  EXPECT_EQ(reader.substrate_cache_stores(), 1u);
 }
 
 TEST(ModelCacheSubstrate, StaleVersionEntryIsEvictedAndOverwritten) {
@@ -277,7 +260,7 @@ TEST(ModelCacheSubstrate, ConcurrentWritersShareOneDirectorySafely) {
 
 // --- framework images served from the substrate entries ----------------------
 
-/// The level's default-options substrate entry, which carries its image.
+/// The level's substrate entry, which carries its image.
 std::string substrate_entry(const std::string& dir,
                             const FrameworkRepository& repo, int level) {
   return dir + "/substrate-" + repo.fingerprint() + "-L" +
@@ -516,28 +499,48 @@ TEST_F(WarmColdSuite, CachedRunsEqualMinedRunsAcrossJobs) {
   }
 }
 
-TEST_F(WarmColdSuite, HarnessOptionsAttachTheCacheBeforeWarmup) {
-  // The SuiteRunOptions knob is what the CLI rides: setting
-  // (model_cache_dir, repository) must attach the cache before warmup so
-  // the warmed substrates populate/hit it — and rows stay identical.
-  const std::string dir = fresh_cache_dir("harness_knob");
+TEST_F(WarmColdSuite, AgentAttachesTheCacheBeforeWarmup) {
+  // The AgentOptions knob is what in-process agents ride: setting
+  // (model_cache_dir, repository) must attach the cache before the first
+  // lease's warmup, so the warmed substrates populate (round 0) or hit
+  // (round 1) it — and rows stay identical.
+  const std::string dir = fresh_cache_dir("agent_knob");
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE("round=" + std::to_string(round));
     const FrameworkRepository repo{small_config()};
-    SuiteRunOptions options;
+    const auto db = ModelCache{dir}.api_database(repo, 2);
+    const std::string root = dir + "-work" + std::to_string(round);
+    std::filesystem::remove_all(root);
+    const WorkDir work{root};
+    work.publish(plan_work_queue(*apps_, {}, {}), WorkDir::now_seconds());
+
+    AgentOptions options;
+    options.worker = "w";
     options.jobs = 2;
+    options.resolve = [](const WorkItem& item) {
+      for (const auto& app : *apps_)
+        if (app.apk.name == item.name) return app;
+      throw Error("unknown app " + item.name);
+    };
+    options.factory = [&] { return std::make_unique<SaintDroid>(repo, db); };
     options.model_cache_dir = dir;
     options.repository = &repo;
-    options.warmup = [&] {
-      (void)repo.substrate(FrameworkRepository::clamp_level(
-          (*apps_)[0].apk.manifest.target_sdk));
+    bool cache_attached = false;
+    options.warmup = [&](std::span<const BenchApp> slice) {
+      cache_attached = repo.model_cache_dir() == dir;
+      for (const auto& app : slice)
+        (void)repo.substrate(
+            FrameworkRepository::clamp_level(app.apk.manifest.target_sdk));
     };
-    const auto db = ModelCache{dir}.api_database(repo, 2);
-    const SuiteResult suite = run_suite_parallel(
-        [&] { return std::make_unique<SaintDroid>(repo, db); }, *apps_,
-        options);
-    EXPECT_EQ(sorted_canonical(suite.rows), *reference_);
-    if (round == 1) EXPECT_GT(repo.substrate_cache_hits(), 0u);
+    (void)run_agent(work, options);
+    EXPECT_TRUE(cache_attached);
+    EXPECT_EQ(sorted_canonical(collect(work).suite.rows), *reference_);
+    if (round == 0) {
+      EXPECT_GT(repo.substrate_cache_stores(), 0u);
+    } else {
+      EXPECT_GT(repo.substrate_cache_hits(), 0u);
+    }
+    std::filesystem::remove_all(root);
   }
 }
 

@@ -199,14 +199,14 @@ TEST(RunSuiteParallel, WarmStartJournalsEqualColdAtAnyJobCount) {
                  " jobs=" + std::to_string(jobs));
     const FrameworkRepository repo{cfg};
     if (apps.empty()) apps = accuracy_bench(repo);
-    const auto db = ModelCache{dir}.api_database(repo, jobs);
+    const ModelCache cache{dir};
+    const auto db = cache.api_database(repo, jobs);
+    cache.attach_substrate_cache(repo);
     WarmupStats warmup;
     SuiteRunOptions options;
     options.jobs = jobs;
     options.journal_path = dir + "/rows-" + std::to_string(warm) + "-" +
                            std::to_string(jobs) + ".jsonl";
-    options.model_cache_dir = dir;
-    options.repository = &repo;
     options.warmup = [&] { warmup = warm_target_levels(repo, apps, jobs); };
     (void)run_suite_parallel(
         [&] { return std::make_unique<SaintDroid>(repo, db); }, apps,

@@ -3,7 +3,7 @@
 // The load-bearing property: the substrate is a pure caching layer. Every
 // reported field — rows, scores, mismatch counts, peak_bytes,
 // loaded_classes — is byte-identical with the substrate on or off, at any
-// worker count; the per-(level, options) cache builds exactly once under
+// worker count; the per-level cache builds exactly once under
 // concurrent first requests; and a poisoned level fails only the analyses
 // that need it, retrying (and succeeding) once the fault clears.
 #include <gtest/gtest.h>
@@ -53,7 +53,7 @@ FrameworkConfig small_framework() {
 TEST(Substrate, MaterializesEveryImageClassOnce) {
   const auto& repo = FrameworkRepository::standard();
   const DexFile& image = repo.image(25);
-  const FrameworkSubstrate sub{image, 25, {}};
+  const FrameworkSubstrate sub{image, 25};
   EXPECT_EQ(sub.level(), 25);
   EXPECT_GT(sub.class_count(), 0u);
   EXPECT_GT(sub.total_footprint(), 0u);
@@ -72,7 +72,7 @@ TEST(Substrate, MaterializesEveryImageClassOnce) {
 TEST(Substrate, MethodTablesMatchDeclarationsExactly) {
   const auto& repo = FrameworkRepository::standard();
   const DexFile& image = repo.image(25);
-  const FrameworkSubstrate sub{image, 25, {}};
+  const FrameworkSubstrate sub{image, 25};
 
   const std::string name = image.type_name(image.classes().front().type);
   const LoadedClass* cls = sub.find_class(name);
@@ -124,21 +124,6 @@ TEST(Substrate, MethodTablesMatchDeclarationsExactly) {
   EXPECT_EQ(sub.entry_of(copy), nullptr);
 }
 
-TEST(Substrate, UnindexedOptionsSkipMethodTables) {
-  const auto& repo = FrameworkRepository::standard();
-  const DexFile& image = repo.image(25);
-  SubstrateOptions options;
-  options.index_methods = false;
-  const FrameworkSubstrate sub{image, 25, options};
-  const std::string name = image.type_name(image.classes().front().type);
-  const LoadedClass* cls = sub.find_class(name);
-  ASSERT_NE(cls, nullptr);
-  EXPECT_TRUE(sub.owns(*cls));
-  const FrameworkSubstrate::ClassEntry* entry = sub.entry_of(*cls);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_TRUE(entry->methods.empty());
-}
-
 // --- cache: one build per key, even under a stampede ---------------------------
 
 TEST(SubstrateCache, ConcurrentFirstRequestsBuildOnce) {
@@ -161,15 +146,13 @@ TEST(SubstrateCache, ConcurrentFirstRequestsBuildOnce) {
   }
   EXPECT_EQ(repo.substrate_build_count(), 1u);
 
-  // A different options value is a different key: second build.
-  SubstrateOptions unindexed;
-  unindexed.index_methods = false;
-  const auto other = repo.substrate(17, unindexed);
+  // A different level is a different slot: second build.
+  const auto other = repo.substrate(18);
   ASSERT_NE(other, nullptr);
   EXPECT_NE(other.get(), handles.front().get());
   EXPECT_EQ(repo.substrate_build_count(), 2u);
 
-  // Same key again: cache hit, no third build.
+  // The same level again: cache hit, no third build.
   EXPECT_EQ(repo.substrate(17).get(), handles.front().get());
   EXPECT_EQ(repo.substrate_build_count(), 2u);
 }
