@@ -28,6 +28,10 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_shard
   # Concurrent agents racing one work directory: rename-atomic claiming,
   # the heartbeat thread, and the shared journal writer under one roof.
+  # Pooled lease resolution and its index-claiming helper race too:
+  # WorkStealSuite.FailingResolveRethrowsFirstItemInLeaseOrder (jobs 4),
+  # the StealingEqualsSingleProcess matrix (jobs 2 and 8 resolve each
+  # lease on a pool) and ParallelFor.* (first error in index order).
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_workstealing
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_substrate
   # Concurrent shard writers racing one cache directory, and parallel

@@ -178,7 +178,8 @@ std::shared_ptr<const FrameworkSubstrate> FrameworkRepository::substrate(
         if (blob) {
           const std::vector<std::uint8_t> payload = sdmc_open(*blob, key);
           slot = std::make_shared<const FrameworkSubstrate>(
-              img, lvl, split_substrate_entry(payload).tables);
+              FrameworkSubstrate::kRebind, img, lvl,
+              split_substrate_entry(payload).tables);
           substrate_cache_hits_.fetch_add(1, std::memory_order_relaxed);
         }
       } catch (const Error&) {

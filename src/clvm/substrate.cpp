@@ -92,7 +92,8 @@ FrameworkSubstrate::FrameworkSubstrate(const DexFile& image, int level)
   }
 }
 
-FrameworkSubstrate::FrameworkSubstrate(const DexFile& image, int level,
+FrameworkSubstrate::FrameworkSubstrate(Rebind, const DexFile& image,
+                                       int level,
                                        std::span<const std::uint8_t> tables)
     : level_(level) {
   materialize_classes(image);

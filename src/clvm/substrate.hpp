@@ -88,6 +88,16 @@ class FrameworkSubstrate {
     std::vector<MethodEntry> methods;
   };
 
+  /// Selects the rebinding constructor below. Its default constructor is
+  /// explicit (like std::in_place_t), so a braced `{}` cannot stand in for
+  /// it and `FrameworkSubstrate{image, level, {}}` does not compile: the
+  /// rebind path is always asked for by name, as
+  /// `FrameworkSubstrate{FrameworkSubstrate::kRebind, image, level, tables}`.
+  struct Rebind {
+    explicit Rebind() = default;
+  };
+  static constexpr Rebind kRebind{};
+
   /// Materializes every class of `image`. `image` must outlive the
   /// substrate (the repository owns both and keeps them together).
   FrameworkSubstrate(const DexFile& image, int level);
@@ -107,7 +117,7 @@ class FrameworkSubstrate {
   /// build (serialize_tables round-trips byte-for-byte). Throws ParseError
   /// on any truncation, count mismatch against the image, or out-of-range
   /// slot.
-  FrameworkSubstrate(const DexFile& image, int level,
+  FrameworkSubstrate(Rebind, const DexFile& image, int level,
                      std::span<const std::uint8_t> tables);
 
   /// Serializes the structural tables — per-entry method-table layouts

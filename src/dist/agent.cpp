@@ -10,6 +10,7 @@
 
 #include "adf/repository.hpp"
 #include "support/errors.hpp"
+#include "support/meter.hpp"
 #include "support/thread_pool.hpp"
 
 namespace saintdroid {
@@ -136,11 +137,18 @@ AgentResult run_agent(const WorkDir& dir, const AgentOptions& options) {
       continue;
     }
 
-    std::vector<BenchApp> slice;
-    slice.reserve(lease->items.size());
-    for (const int index : lease->items)
-      slice.push_back(
-          options.resolve(queue->items[static_cast<std::size_t>(index)]));
+    // Resolve the lease's apps on the lease's own workers, each into its
+    // lease-order slot. A failing item throws out of the agent before any
+    // analysis or heartbeat — the first failure in lease order, whatever
+    // order the workers met them — and the claim is left for TTL reclaim.
+    const Stopwatch resolve_watch;
+    std::vector<BenchApp> slice(lease->items.size());
+    parallel_for(slice.size(), static_cast<std::size_t>(result.jobs),
+                 [&](std::size_t i) {
+                   slice[i] = options.resolve(queue->items[
+                       static_cast<std::size_t>(lease->items[i])]);
+                 });
+    result.resolve_seconds += resolve_watch.seconds();
 
     SuiteRunOptions run;
     run.jobs = result.jobs;

@@ -10,30 +10,37 @@
 
 namespace saintdroid {
 
+WorkQueue plan_work_queue(std::vector<WorkItem> items,
+                          const CoordinatorOptions& options) {
+  if (items.empty())
+    throw ConfigError("plan_work_queue: cannot plan an empty corpus");
+  std::vector<std::string> names;
+  names.reserve(items.size());
+  for (const auto& item : items) names.push_back(item.name);
+  WorkQueue queue;
+  queue.corpus = corpus_fingerprint(names);
+  queue.tool = options.tool;
+  queue.items = std::move(items);
+  const int lease_size = options.lease_size > 0
+                             ? options.lease_size
+                             : default_lease_size(queue.items.size());
+  queue.leases = plan_leases(queue.items, lease_size);
+  return queue;
+}
+
 WorkQueue plan_work_queue(std::span<const BenchApp> apps,
                           std::span<const std::string> paths,
                           const CoordinatorOptions& options) {
-  if (apps.empty())
-    throw ConfigError("plan_work_queue: cannot plan an empty corpus");
   if (!paths.empty() && paths.size() != apps.size())
     throw ConfigError("plan_work_queue: " + std::to_string(paths.size()) +
                       " paths for " + std::to_string(apps.size()) + " apps");
-  WorkQueue queue;
-  queue.corpus = corpus_fingerprint(apps);
-  queue.tool = options.tool;
-  queue.items.reserve(apps.size());
+  std::vector<WorkItem> items(apps.size());
   for (std::size_t i = 0; i < apps.size(); ++i) {
-    WorkItem item;
-    item.name = apps[i].apk.name;
-    if (!paths.empty()) item.path = paths[i];
-    item.cost = estimate_app_cost(apps[i].apk);
-    queue.items.push_back(std::move(item));
+    items[i].name = apps[i].apk.name;
+    if (!paths.empty()) items[i].path = paths[i];
+    items[i].cost = estimate_app_cost(apps[i].apk);
   }
-  const int lease_size = options.lease_size > 0
-                             ? options.lease_size
-                             : default_lease_size(apps.size());
-  queue.leases = plan_leases(queue.items, lease_size);
-  return queue;
+  return plan_work_queue(std::move(items), options);
 }
 
 SuperviseOutcome supervise(const WorkDir& dir,

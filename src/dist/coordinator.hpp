@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "dist/lease.hpp"
 #include "dist/workdir.hpp"
 #include "workload/harness.hpp"
 #include "workload/journal.hpp"
@@ -26,11 +28,18 @@ struct CoordinatorOptions {
   std::string tool = "saintdroid";
 };
 
-/// Builds the work queue for `apps`: per-app cost estimates (class count),
-/// the largest-cost-first lease plan, and the corpus fingerprint over the
-/// *full* list — the same fingerprint a `batch --shard` run of this list
-/// would stamp, so work-stealing journals and static-shard journals are
-/// mutually merge-checkable. `paths`, when non-empty, must parallel `apps`
+/// Builds the work queue for `items` (name, package path, cost estimate,
+/// in full-list input order): the largest-cost-first lease plan and the
+/// corpus fingerprint over the *full* name list — the same fingerprint a
+/// `batch --shard` run of this list would stamp, so work-stealing journals
+/// and static-shard journals are mutually merge-checkable. Needs no parsed
+/// app: a coordinator can drop each package once it has its name and
+/// cost. Throws ConfigError on an empty item list.
+WorkQueue plan_work_queue(std::vector<WorkItem> items,
+                          const CoordinatorOptions& options = {});
+
+/// The same plan from parsed apps: items named after the apps, costed by
+/// estimate_app_cost. `paths`, when non-empty, must parallel `apps`
 /// (paths[i] is where an out-of-process agent loads apps[i]); empty paths
 /// leave items resolvable by name only. Throws ConfigError on an empty app
 /// list or a paths/apps length mismatch.

@@ -1,5 +1,10 @@
 #include "support/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <system_error>
+
 namespace saintdroid {
 
 ThreadPool::ThreadPool(std::size_t workers) {
@@ -51,6 +56,36 @@ void ThreadPool::worker_loop() {
     // into the task's future.
     job();
   }
+}
+
+void parallel_for(std::size_t count, std::size_t workers,
+                  const std::function<void(std::size_t)>& body) {
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        body(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> helpers;
+  const std::size_t threads = std::min(workers, count);
+  if (threads > 1) helpers.reserve(threads - 1);
+  try {
+    while (helpers.size() + 1 < threads) helpers.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // No thread to spare: the threads already started and the caller
+    // drain the rest.
+  }
+  drain();
+  for (auto& helper : helpers) helper.join();
+  for (const auto& error : errors)
+    if (error) std::rethrow_exception(error);
 }
 
 std::size_t ThreadPool::default_workers() {

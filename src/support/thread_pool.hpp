@@ -6,7 +6,9 @@
 // pool is deliberately minimal — a bounded worker set, a FIFO task queue,
 // futures for exception propagation, join-on-destruct — because the batch
 // engine built on top of it (workload/harness.hpp) owns the sharding
-// policy and determinism guarantees.
+// policy and determinism guarantees. parallel_for is the one
+// index-claiming loop for "do this to every input slot" fan-outs (package
+// parsing, level warm-up, lease resolution).
 #pragma once
 
 #include <condition_variable>
@@ -64,5 +66,17 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Runs body(i) for every i in [0, count) on up to `workers` threads, the
+/// calling thread among them: each worker takes the next index from one
+/// atomic counter, so slot-per-index outputs come out in index order
+/// whatever the schedule. Every index runs even when others throw; each
+/// index keeps its own exception, and after the join the first one in
+/// *index* order is rethrown — the error a serial loop would have met
+/// first. With workers <= 1 (or count <= 1) the body runs inline on the
+/// calling thread, in index order. `body` must be safe to call
+/// concurrently for distinct indices.
+void parallel_for(std::size_t count, std::size_t workers,
+                  const std::function<void(std::size_t)>& body);
 
 }  // namespace saintdroid

@@ -119,6 +119,11 @@ std::vector<BenchApp> shard_slice(std::span<const BenchApp> apps,
 /// *full* list, before shard_slice.
 std::string corpus_fingerprint(std::span<const BenchApp> apps);
 
+/// The same fingerprint over bare app names, in order: for callers that
+/// keep names rather than parsed apps (the work-stealing coordinator).
+/// corpus_fingerprint(apps) equals this over the apps' names.
+std::string corpus_fingerprint(std::span<const std::string> names);
+
 /// Rebuilds a SuiteResult from already-scored rows — e.g. merged journal
 /// rows reordered to corpus order by the work-stealing coordinator. Folds
 /// the aggregate and failure count with exactly the semantics of run_suite

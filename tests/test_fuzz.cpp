@@ -465,7 +465,8 @@ TEST(SdmcFuzz, SubstrateTableTruncationRejectsInRebind) {
   for (std::size_t cut = 0; cut < base.size(); cut += 1 + cut / 64) {
     std::span<const std::uint8_t> window(base.data(), cut);
     EXPECT_THROW(
-        (void)FrameworkSubstrate(img, level, window),
+        (void)FrameworkSubstrate(FrameworkSubstrate::kRebind, img, level,
+                                 window),
         ParseError)
         << "cut=" << cut;
   }
@@ -487,7 +488,8 @@ TEST(SdmcFuzz, SubstrateTableBitFlipsRejectOrRebindSafely) {
         rng.uniform(0, static_cast<std::int64_t>(bytes.size()) - 1));
     bytes[pos] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
     try {
-      const FrameworkSubstrate sub{img, level, bytes};
+      const FrameworkSubstrate sub{FrameworkSubstrate::kRebind, img, level,
+                                   bytes};
       (void)sub.serialize_tables();  // walks every entry, method and edge
       ++rebound;
     } catch (const ParseError&) {

@@ -159,7 +159,8 @@ TEST(ModelCacheSubstrate, RebindMatchesFullBuildExactly) {
   const auto built = repo.substrate(level);
   const auto tables = built->serialize_tables();
 
-  const FrameworkSubstrate rebound{repo.image(level), level, tables};
+  const FrameworkSubstrate rebound{FrameworkSubstrate::kRebind,
+                                   repo.image(level), level, tables};
   EXPECT_EQ(rebound.class_count(), built->class_count());
   EXPECT_EQ(rebound.method_count(), built->method_count());
   EXPECT_EQ(rebound.total_footprint(), built->total_footprint());

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,28 @@ FrameworkConfig small_framework() {
 }
 
 // --- substrate structure -------------------------------------------------------
+
+// The table-rebinding constructor is selected by name only. A braced `{}`
+// in the tables position once chose it silently, compiled, and threw
+// ParseError at run time; now neither `{}` for the tables nor `{}` for the
+// tag compiles. (Templates, so the requires-expressions are checked by
+// substitution and can be false.)
+template <typename Image>
+constexpr bool kRebindsFromBracedTables =
+    requires(const Image& image) { FrameworkSubstrate{image, 25, {}}; };
+template <typename Image>
+constexpr bool kRebindsFromBracedTag =
+    requires(const Image& image, std::span<const std::uint8_t> tables) {
+      FrameworkSubstrate{{}, image, 25, tables};
+    };
+template <typename Image>
+constexpr bool kRebindsByName =
+    requires(const Image& image, std::span<const std::uint8_t> tables) {
+      FrameworkSubstrate{FrameworkSubstrate::kRebind, image, 25, tables};
+    };
+static_assert(!kRebindsFromBracedTables<DexFile>);
+static_assert(!kRebindsFromBracedTag<DexFile>);
+static_assert(kRebindsByName<DexFile>);
 
 TEST(Substrate, MaterializesEveryImageClassOnce) {
   const auto& repo = FrameworkRepository::standard();
