@@ -61,6 +61,33 @@ std::pair<int, std::string> run_stderr(const std::string& command) {
   return {rc, slurp(log)};
 }
 
+/// Writes to `out_path` a package whose container header (magic, name,
+/// manifest, section length) is intact and whose one dex section holds
+/// only the first half of `intact_path`'s dex: the header reads whole, only
+/// a full parse of the body fails.
+void write_cut_body_package(const std::string& intact_path,
+                            const std::string& out_path) {
+  const std::string good = slurp(intact_path);
+  const Apk apk = Apk::parse(std::span{
+      reinterpret_cast<const std::uint8_t*>(good.data()), good.size()});
+  const std::vector<std::uint8_t> dex = apk.dexes.at(0).serialize();
+  ByteWriter w;
+  w.u32(0x4b504153);  // "SAPK"
+  w.str("bad_body");
+  apk.manifest.serialize(w);
+  w.uleb(1);
+  w.uleb(dex.size() / 2);  // the section length matches the bytes present
+  w.bytes(std::span{dex}.first(dex.size() / 2));
+  const std::vector<std::uint8_t> cut = w.take();
+  ByteReader r{cut};
+  (void)r.u32();
+  EXPECT_EQ(r.str(), "bad_body");
+  EXPECT_THROW((void)Apk::parse(cut), ParseError);
+  std::ofstream out{out_path, std::ios::binary};
+  out.write(reinterpret_cast<const char*>(cut.data()),
+            static_cast<std::streamsize>(cut.size()));
+}
+
 class ToolsEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -181,28 +208,9 @@ TEST_F(ToolsEndToEnd, CoordinateRefusesCorruptPackagesBeforePublish) {
   auto [gen_rc, gen_out] =
       run(std::string(tool_dir()) + "/apkgen corpus tool_test_tmp/coord_bad 4");
   ASSERT_EQ(gen_rc, 0) << gen_out;
-  const std::string good = slurp("tool_test_tmp/coord_bad/fdroid-app-0.apk");
-  const Apk apk = Apk::parse(std::span{
-      reinterpret_cast<const std::uint8_t*>(good.data()), good.size()});
-  const std::vector<std::uint8_t> dex = apk.dexes.at(0).serialize();
-  ByteWriter w;
-  w.u32(0x4b504153);  // "SAPK"
-  w.str("bad_body");
-  apk.manifest.serialize(w);
-  w.uleb(1);
-  w.uleb(dex.size() / 2);  // the section length matches the bytes present
-  w.bytes(std::span{dex}.first(dex.size() / 2));
-  const std::vector<std::uint8_t> cut = w.take();
+  write_cut_body_package("tool_test_tmp/coord_bad/fdroid-app-0.apk",
+                         "tool_test_tmp/coord_bad/bad_body.apk");
   {
-    // The header reads whole; only the dex body fails to parse.
-    ByteReader r{cut};
-    (void)r.u32();
-    EXPECT_EQ(r.str(), "bad_body");
-    EXPECT_THROW((void)Apk::parse(cut), ParseError);
-    std::ofstream out{"tool_test_tmp/coord_bad/bad_body.apk",
-                      std::ios::binary};
-    out.write(reinterpret_cast<const char*>(cut.data()),
-              static_cast<std::streamsize>(cut.size()));
     std::ofstream second{"tool_test_tmp/coord_bad/bad_second.apk",
                          std::ios::binary};
     second << "not an apk";
@@ -225,6 +233,38 @@ TEST_F(ToolsEndToEnd, CoordinateRefusesCorruptPackagesBeforePublish) {
   EXPECT_EQ(out.find("bad_second"), std::string::npos) << out;
   EXPECT_EQ(out.find("published"), std::string::npos) << out;
   EXPECT_FALSE(fs::exists("tool_test_tmp/coord_bad_wd/queue.sdwq"));
+}
+
+TEST_F(ToolsEndToEnd, BatchRefusesCutDexBodyBeforeAnyRow) {
+  // `batch` keeps only a name, a target level and the bytes of each
+  // package before its analysis, but it must still parse each one whole
+  // first: a package whose container header is intact and whose dex body
+  // is cut short exits 2 naming it — at any --jobs — with no row printed
+  // and no journal written.
+  auto [gen_rc, gen_out] =
+      run(std::string(tool_dir()) + "/apkgen corpus tool_test_tmp/cut 5");
+  ASSERT_EQ(gen_rc, 0) << gen_out;
+  write_cut_body_package("tool_test_tmp/cut/fdroid-app-0.apk",
+                         "tool_test_tmp/cut/bad_body.apk");
+  std::string files;
+  for (int i = 0; i < 5; ++i) {
+    files += " tool_test_tmp/cut/fdroid-app-" + std::to_string(i) + ".apk";
+    if (i == 3) files += " tool_test_tmp/cut/bad_body.apk";
+  }
+  fs::remove("tool_test_tmp/cut.jsonl");
+  for (const char* jobs : {"1", "4"}) {
+    SCOPED_TRACE(std::string{"jobs "} + jobs);
+    auto [rc, out] = run(std::string(tool_dir()) + "/saintdroid batch" +
+                         files + " --jobs " + jobs +
+                         " --journal tool_test_tmp/cut.jsonl");
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << out;
+    EXPECT_NE(out.find("tool_test_tmp/cut/bad_body.apk: parse error"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("fdroid-app"), std::string::npos) << out;  // no rows
+    EXPECT_EQ(out.find("mismatch"), std::string::npos) << out;
+    EXPECT_FALSE(fs::exists("tool_test_tmp/cut.jsonl"));
+  }
 }
 
 TEST_F(ToolsEndToEnd, UsageOnBadArguments) {
