@@ -23,6 +23,10 @@ run_tsan() {
         --target test_parallel test_faults test_shard test_workstealing \
         test_substrate test_model_cache test_detectors test_serve \
         test_incremental
+  # Workers claiming slots from one counter and resolving each app where
+  # it is analyzed: StreamingSuite.* (streaming ≡ span form with stop and
+  # resume, one resolve per analyzed slot, at most `jobs` apps live, a
+  # throwing resolver) at jobs 2, 4 and 8.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_parallel
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_faults
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_shard

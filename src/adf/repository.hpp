@@ -113,7 +113,7 @@ class FrameworkRepository {
   static int clamp_level(int level);
 
   /// Process-wide repository with the default configuration; built on first
-  /// use and immutable afterwards.
+  /// use, immutable afterwards, and never destroyed.
   static const FrameworkRepository& standard();
 
  private:

@@ -5,6 +5,7 @@
 #include "core/semantics.hpp"
 #include "support/errors.hpp"
 #include "support/sdmc.hpp"
+#include "support/thread_pool.hpp"
 
 namespace saintdroid {
 
@@ -100,6 +101,27 @@ std::shared_ptr<const ApiDatabase> ModelCache::api_database(
     // A read-only or full cache directory costs only the next warm start.
   }
   return db;
+}
+
+AnalysisModel load_model(const FrameworkRepository& repo, int jobs,
+                         const std::string& model_cache_dir,
+                         std::shared_ptr<const ApiDatabase> database,
+                         const std::string& incr_cache_dir) {
+  if (jobs <= 0) jobs = static_cast<int>(ThreadPool::default_workers());
+  std::optional<ModelCache> cache;
+  if (!model_cache_dir.empty()) {
+    cache.emplace(model_cache_dir);
+    cache->attach_substrate_cache(repo);
+  }
+  bool from_cache = false;
+  if (database == nullptr)
+    database = cache ? cache->api_database(repo, jobs, &from_cache)
+                     : std::make_shared<const ApiDatabase>(
+                           ApiDatabase::mine(repo, jobs));
+  AnalysisModel model{repo, jobs, std::move(database), from_cache, {}};
+  if (!incr_cache_dir.empty())
+    model.options.incr_cache = std::make_shared<const IncrCache>(incr_cache_dir);
+  return model;
 }
 
 }  // namespace saintdroid

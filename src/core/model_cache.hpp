@@ -26,6 +26,7 @@
 
 #include "adf/repository.hpp"
 #include "core/arm.hpp"
+#include "core/saintdroid.hpp"
 
 namespace saintdroid {
 
@@ -76,5 +77,31 @@ class ModelCache {
  private:
   std::string dir_;
 };
+
+/// The analysis model the analyzing commands (`analyze`, `batch`, `work`,
+/// `serve`) share: the repository, the worker count, the ARM database and
+/// the facade options every worker's SaintDroid is built with.
+struct AnalysisModel {
+  const FrameworkRepository& repo;
+  int jobs = 1;
+  std::shared_ptr<const ApiDatabase> db;
+  /// The database was loaded from the model cache (no mining pass ran).
+  bool db_from_cache = false;
+  SaintDroidOptions options;
+};
+
+/// The one model setup: `jobs` <= 0 resolves to the host's hardware
+/// concurrency; a non-empty `model_cache_dir` is attached to `repo` first,
+/// so framework images and substrates load from it too; the database is
+/// `database` when given, else loaded from the model cache (mined and
+/// stored there on a miss), else mined on `jobs` workers; a non-empty
+/// `incr_cache_dir` becomes the incremental fact cache every facade shares
+/// (its stores are rename-atomic, so concurrent workers and processes
+/// pointed at one directory race benignly). Throws ConfigError when a
+/// cache directory cannot be created.
+AnalysisModel load_model(const FrameworkRepository& repo, int jobs,
+                         const std::string& model_cache_dir,
+                         std::shared_ptr<const ApiDatabase> database,
+                         const std::string& incr_cache_dir);
 
 }  // namespace saintdroid

@@ -53,35 +53,28 @@ SuiteAppRow unanalyzable_row(const std::string& app,
 VetService::VetService(const std::string& statedir, ServeOptions options)
     : paths_(statedir),
       options_(std::move(options)),
-      jobs_(options_.jobs > 0
-                ? options_.jobs
-                : static_cast<int>(ThreadPool::default_workers())),
+      model_(load_model(options_.repository != nullptr
+                            ? *options_.repository
+                            : FrameworkRepository::standard(),
+                        options_.jobs, paths_.model_cache_dir(),
+                        options_.database, options_.incr_cache_dir)),
       queue_capacity_(options_.queue_capacity > 0
                           ? options_.queue_capacity
-                          : static_cast<std::size_t>(4 * jobs_)),
-      repo_(options_.repository != nullptr ? options_.repository
-                                           : &FrameworkRepository::standard()),
-      cache_(paths_.model_cache_dir()),
+                          : static_cast<std::size_t>(4 * model_.jobs)),
       results_(paths_.results_path()),
       requests_(paths_.requests_path()),
       queue_(queue_capacity_) {
-  cache_.attach_substrate_cache(*repo_);
-  db_ = options_.database != nullptr
-            ? options_.database
-            : cache_.api_database(*repo_, jobs_, &db_from_cache_);
   // One facade per worker, all sharing the immutable database, the
   // repository's substrate, and (when configured) the incremental fact
-  // cache — the warm state the daemon exists to reuse.
-  SaintDroidOptions tool_options;  // budget is applied per request
-  if (!options_.incr_cache_dir.empty())
-    tool_options.incr_cache =
-        std::make_shared<const IncrCache>(options_.incr_cache_dir);
-  analyzers_.reserve(static_cast<std::size_t>(jobs_));
-  for (int i = 0; i < jobs_; ++i)
-    analyzers_.push_back(std::make_unique<SaintDroid>(*repo_, db_, tool_options));
+  // cache — the warm state the daemon exists to reuse. The budget is
+  // applied per request.
+  analyzers_.reserve(static_cast<std::size_t>(model_.jobs));
+  for (int i = 0; i < model_.jobs; ++i)
+    analyzers_.push_back(
+        std::make_unique<SaintDroid>(model_.repo, model_.db, model_.options));
   replay_pending();
-  pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(jobs_));
-  for (int i = 0; i < jobs_; ++i) {
+  pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(model_.jobs));
+  for (int i = 0; i < model_.jobs; ++i) {
     const auto index = static_cast<std::size_t>(i);
     pool_->submit([this, index] { worker_loop(index); });
   }
@@ -277,7 +270,7 @@ ServeStats VetService::stats() const {
   stats.cache_hits = cache_hits_.load();
   stats.completed = completed_.load();
   stats.replayed = replayed_.load();
-  stats.database_from_cache = db_from_cache_;
+  stats.database_from_cache = model_.db_from_cache;
   return stats;
 }
 

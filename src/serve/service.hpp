@@ -121,7 +121,7 @@ class VetService {
 
   ServeStats stats() const;
   const StatePaths& paths() const { return paths_; }
-  int jobs() const { return jobs_; }
+  int jobs() const { return model_.jobs; }
   std::size_t queue_capacity() const { return queue_capacity_; }
 
  private:
@@ -132,11 +132,10 @@ class VetService {
 
   StatePaths paths_;
   ServeOptions options_;
-  int jobs_ = 1;
+  /// The state directory's model cache attached, the database injected
+  /// (ServeOptions::database) or loaded through that cache.
+  AnalysisModel model_;
   std::size_t queue_capacity_ = 4;
-  const FrameworkRepository* repo_ = nullptr;
-  ModelCache cache_;
-  std::shared_ptr<const ApiDatabase> db_;
   std::vector<std::unique_ptr<SaintDroid>> analyzers_;
   ResultCache results_;
   RequestJournal requests_;
@@ -155,7 +154,6 @@ class VetService {
   // Counters behind stats().
   std::atomic<std::uint64_t> received_{0}, malformed_{0}, accepted_{0},
       rejected_{0}, cache_hits_{0}, completed_{0}, replayed_{0};
-  bool db_from_cache_ = false;
 
   // Last member: workers must join before anything above is destroyed.
   std::unique_ptr<ThreadPool> pool_;

@@ -1,6 +1,7 @@
 #include "workload/harness.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -79,6 +80,20 @@ void aggregate_rows(SuiteResult& suite) {
   }
 }
 
+/// The row of a slot whose app could not be produced: a structured
+/// failure like analyze_outcome's, in the "resolve" phase. No ledger is
+/// known for the app, so it scores nothing.
+SuiteAppRow resolve_failure_row(const std::string& name,
+                                const std::exception& error) {
+  SuiteAppRow row;
+  row.app = name;
+  row.completed = false;
+  row.failure_reason = error.what();
+  row.failure =
+      AnalysisFailure{classify_failure(error), "resolve", error.what()};
+  return row;
+}
+
 }  // namespace
 
 SuiteResult suite_from_rows(std::string tool, std::vector<SuiteAppRow> rows) {
@@ -130,14 +145,14 @@ std::string corpus_fingerprint(std::span<const std::string> names) {
 }
 
 WarmupStats warm_target_levels(const FrameworkRepository& repo,
-                               std::span<const BenchApp> apps, int jobs) {
+                               std::span<const int> target_levels, int jobs) {
   const Stopwatch watch;
   const std::uint64_t images_before = repo.image_cache_hits();
   const std::uint64_t substrates_before = repo.substrate_cache_hits();
   std::vector<char> wanted(kMaxApiLevel + 1, 0);
-  for (const auto& app : apps)
-    wanted[static_cast<std::size_t>(
-        FrameworkRepository::clamp_level(app.apk.manifest.target_sdk))] = 1;
+  for (const int level : target_levels)
+    wanted[static_cast<std::size_t>(FrameworkRepository::clamp_level(level))] =
+        1;
   // Newest levels first: they are the largest, so the pool's tail is short.
   std::vector<int> levels;
   for (int level = kMaxApiLevel; level >= kMinApiLevel; --level)
@@ -180,13 +195,26 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
 SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
                                std::span<const BenchApp> apps,
                                const SuiteRunOptions& options) {
-  const std::size_t n = apps.size();
+  std::vector<std::string> names;
+  names.reserve(apps.size());
+  for (const auto& app : apps) names.push_back(app.apk.name);
+  // Lend apps[i]: an aliasing pointer with no owner, so nothing is copied
+  // and nothing is freed when the harness drops it.
+  return run_suite_parallel(
+      factory, names,
+      [apps](std::size_t i) { return SlotApp{SlotApp{}, &apps[i]}; },
+      options);
+}
+
+SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
+                               std::span<const std::string> names,
+                               const SlotResolver& resolve,
+                               const SuiteRunOptions& options) {
+  const std::size_t n = names.size();
   const std::uint64_t retries_before = framework_build_retries();
-  int jobs = options.jobs;
-  if (jobs > static_cast<int>(n)) jobs = static_cast<int>(n);
 
   // Resume: journaled rows are merged back verbatim (matched by app name)
-  // and their apps are never re-analyzed or re-journaled.
+  // and their apps are never resolved, re-analyzed or re-journaled.
   std::unordered_map<std::string, SuiteAppRow> journaled;
   if (options.resume && !options.journal_path.empty()) {
     for (auto& row : load_journal(options.journal_path)) {
@@ -208,9 +236,13 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
   SuiteResult suite;
   suite.rows.resize(n);
   std::vector<char> resumed(n, 0);
+  std::vector<std::size_t> pending;  // slots to analyze, in input order
   for (std::size_t i = 0; i < n; ++i) {
-    const auto it = journaled.find(apps[i].apk.name);
-    if (it == journaled.end()) continue;
+    const auto it = journaled.find(names[i]);
+    if (it == journaled.end()) {
+      pending.push_back(i);
+      continue;
+    }
     suite.rows[i] = it->second;
     resumed[i] = 1;
     ++suite.resumed_rows;
@@ -220,19 +252,56 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
   // before any analyzer exists — the fan-out then reads hot caches.
   if (options.warmup) options.warmup();
 
-  // Graceful shutdown: `stop` is polled between apps, never mid-analysis,
-  // so a stopping run finishes (and journals) every app it started and
-  // skips the rest. Skipped slots are dropped from the result afterwards —
-  // the journal holds exactly the analyzed rows, sealed, and a --resume
-  // run picks up the remainder.
+  // One analyzer per worker, constructed up front on this thread so
+  // factory() itself needs no synchronization.
+  std::size_t workers =
+      options.jobs > 1 ? static_cast<std::size_t>(options.jobs) : 1;
+  workers = std::min(workers, std::max<std::size_t>(n, 1));
+  std::vector<std::unique_ptr<Analyzer>> tools;
+  tools.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) tools.push_back(factory());
+  suite.tool = std::string{tools.front()->name()};
+
+  // Each worker claims the next pending slot from one counter until none
+  // is left, resolves its app, analyzes it, and drops it once the row is
+  // in place: a slow app holds up only its own worker, at most one app
+  // per worker is ever live, and each slot is written exactly once by
+  // exactly one worker, so rows need no locking and land at their input
+  // index regardless of scheduling. `stop` is polled between apps, never
+  // mid-analysis, so a stopping run finishes (and journals) every app it
+  // started and skips the rest.
   std::vector<char> analyzed(n, 0);
-  const auto stopping = [&options] {
-    return options.stop && options.stop();
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&](Analyzer& tool) {
+    for (;;) {
+      if (options.stop && options.stop()) return;
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= pending.size()) return;
+      const std::size_t i = pending[k];
+      SuiteAppRow& row = suite.rows[i];
+      SlotApp app;
+      try {
+        app = resolve(i);
+      } catch (const std::exception& error) {
+        row = resolve_failure_row(names[i], error);
+      }
+      if (app) row = analyze_app_row(tool, *app);
+      app.reset();
+      if (journal) journal->append(row);
+      analyzed[i] = 1;
+    }
   };
-  const auto drop_skipped = [&] {
-    if (!options.stop) return;
+  // parallel_for runs each worker's drain once, the calling thread among
+  // them (inline when there is one worker); get() semantics: a harness
+  // bug's exception — never an app's — propagates to the caller.
+  parallel_for(workers, workers,
+               [&](std::size_t w) { drain(*tools[w]); });
+
+  // Skipped slots are dropped from the result: the journal holds exactly
+  // the analyzed rows, sealed, and a --resume run picks up the remainder.
+  if (options.stop) {
     std::vector<SuiteAppRow> kept;
-    kept.reserve(suite.rows.size());
+    kept.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       if (resumed[i] || analyzed[i])
         kept.push_back(std::move(suite.rows[i]));
@@ -240,61 +309,7 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
         ++suite.skipped_rows;
     }
     suite.rows = std::move(kept);
-  };
-
-  const auto process = [&](Analyzer& tool, std::size_t i) {
-    suite.rows[i] = analyze_app_row(tool, apps[i]);
-    if (journal) journal->append(suite.rows[i]);
-    analyzed[i] = 1;
-  };
-
-  if (jobs <= 1) {
-    const std::unique_ptr<Analyzer> tool = factory();
-    suite.tool = std::string{tool->name()};
-    for (std::size_t i = 0; i < n; ++i) {
-      if (resumed[i]) continue;
-      if (stopping()) break;
-      process(*tool, i);
-    }
-    drop_skipped();
-    aggregate_rows(suite);
-    suite.framework_retries = framework_build_retries() - retries_before;
-    return suite;
   }
-
-  // One analyzer per worker, constructed up front on this thread so
-  // factory() itself needs no synchronization. Worker w owns the
-  // interleaved slots {w, w + jobs, ...}: interleaving balances the
-  // long-tailed app-size distribution better than contiguous blocks, and
-  // each slot is written exactly once by exactly one worker, so rows need
-  // no locking and land at their input index regardless of scheduling.
-  std::vector<std::unique_ptr<Analyzer>> tools;
-  tools.reserve(static_cast<std::size_t>(jobs));
-  for (int w = 0; w < jobs; ++w) tools.push_back(factory());
-  suite.tool = std::string{tools.front()->name()};
-
-  {
-    ThreadPool pool{static_cast<std::size_t>(jobs)};
-    std::vector<std::future<void>> done;
-    done.reserve(static_cast<std::size_t>(jobs));
-    for (int w = 0; w < jobs; ++w) {
-      done.push_back(pool.submit([&, w] {
-        Analyzer& tool = *tools[static_cast<std::size_t>(w)];
-        for (std::size_t i = static_cast<std::size_t>(w); i < n;
-             i += static_cast<std::size_t>(jobs)) {
-          if (resumed[i]) continue;
-          if (stopping()) break;
-          process(tool, i);
-        }
-      }));
-    }
-    // get() (not just wait) so a worker's exception propagates to the
-    // caller instead of being swallowed. With the analyze_outcome boundary
-    // in score_app, only harness bugs — not app analyses — can throw here.
-    for (auto& f : done) f.get();
-  }
-
-  drop_skipped();
   aggregate_rows(suite);
   suite.framework_retries = framework_build_retries() - retries_before;
   return suite;

@@ -107,8 +107,9 @@ struct SuiteResult {
 /// shard `shard_index` of `shard_count` owns apps at input positions
 /// {shard_index, shard_index + shard_count, ...}, in input order. The
 /// slices partition the input exactly, and interleaving balances the
-/// long-tailed app-size distribution across shards the same way the
-/// in-process worker sharding does. Throws ConfigError unless
+/// long-tailed app-size distribution across shards, which (unlike the
+/// in-process workers) cannot claim each other's apps. Throws ConfigError
+/// unless
 /// 0 <= shard_index < shard_count.
 std::vector<BenchApp> shard_slice(std::span<const BenchApp> apps,
                                   int shard_index, int shard_count);
@@ -153,14 +154,16 @@ SuiteResult run_suite(Analyzer& tool, std::span<const BenchApp> apps);
 /// callable from the submitting thread before any worker runs.
 using AnalyzerFactory = std::function<std::unique_ptr<Analyzer>()>;
 
-/// Parallel run_suite: shards `apps` across `jobs` workers, each with its
-/// own factory-made analyzer, and merges rows back in input order. The
-/// result is deterministic — identical rows, aggregate, and failure count
-/// to run_suite for any `jobs`, because every row slot is written exactly
-/// once at its input index and aggregation happens after the join, in
-/// order. (Wall-clock fields inside ResourceUsage still vary run to run,
-/// exactly as they do serially.) `jobs <= 1` degenerates to the serial
-/// loop on the calling thread.
+/// Parallel run_suite: runs `apps` on `jobs` workers, each with its own
+/// factory-made analyzer, and merges rows back in input order. Workers
+/// claim the next unanalyzed slot from one shared counter, so a
+/// long-tailed app-size distribution keeps every worker busy until the
+/// suite drains. The result is deterministic — identical rows, aggregate,
+/// and failure count to run_suite for any `jobs`, because every row slot
+/// is written exactly once at its input index and aggregation happens
+/// after the join, in order. (Wall-clock fields inside ResourceUsage still
+/// vary run to run, exactly as they do serially.) `jobs <= 1` degenerates
+/// to the serial loop on the calling thread.
 SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
                                std::span<const BenchApp> apps, int jobs);
 
@@ -177,12 +180,13 @@ struct WarmupStats {
 };
 
 /// Builds the shared framework substrate (and with it the image) of every
-/// distinct clamped target level of `apps`, up to `jobs` levels at a time
-/// on a thread pool — the warm-up of `batch` and `work`. A level whose
-/// build fails is skipped: the analyses against it retry and attribute the
-/// failure to their own rows. Never throws.
+/// distinct clamped level among `target_levels` (the apps' manifest target
+/// SDKs, duplicates welcome), up to `jobs` levels at a time on a thread
+/// pool — the warm-up of `batch` and `work`. A level whose build fails is
+/// skipped: the analyses against it retry and attribute the failure to
+/// their own rows. Never throws.
 WarmupStats warm_target_levels(const FrameworkRepository& repo,
-                               std::span<const BenchApp> apps, int jobs);
+                               std::span<const int> target_levels, int jobs);
 
 /// Knobs for a journaled (crash-safe, resumable) suite run.
 struct SuiteRunOptions {
@@ -226,6 +230,30 @@ struct SuiteRunOptions {
 /// uninterrupted run except for wall-clock usage fields of resumed rows.
 SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
                                std::span<const BenchApp> apps,
+                               const SuiteRunOptions& options);
+
+/// The app of one suite slot, produced on the worker that analyzes it and
+/// released once its row is written. The span overloads lend the caller's
+/// app (an owner-less pointer, no copy); a streaming caller hands over an
+/// app it just parsed, so a suite never holds more than one parsed app per
+/// worker.
+using SlotApp = std::shared_ptr<const BenchApp>;
+
+/// Produces the app of slot i, whose name must be names[i]. Called at most
+/// once per slot — never for a slot merged back by resume or skipped by
+/// `stop` — from the worker about to analyze it, so concurrently for
+/// distinct slots. Runs inside the per-app isolation boundary: an
+/// exception becomes that slot's structured failure row (phase
+/// "resolve"), named names[i].
+using SlotResolver = std::function<SlotApp(std::size_t)>;
+
+/// The streaming core every run_suite_parallel overload forwards to: the
+/// suite is `names`, in input order (resume matching, failure rows), and
+/// each app comes from `resolve` where it is analyzed. Same rows, journal
+/// and stop/resume semantics as the span overloads over the same apps.
+SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
+                               std::span<const std::string> names,
+                               const SlotResolver& resolve,
                                const SuiteRunOptions& options);
 
 }  // namespace saintdroid

@@ -380,16 +380,13 @@ TEST(ModelCacheImage, ConcurrentWarmUpsRaceOneRepository) {
   // level is loaded exactly once, and every caller sees the same objects.
   // The TSan leg of ci/sanitize.sh runs this.
   const std::string dir = fresh_cache_dir("image_race");
-  std::vector<BenchApp> apps;
-  for (int level = kMinApiLevel; level <= kMaxApiLevel; level += 3) {
-    BenchApp app;
-    app.apk.manifest.target_sdk = level;
-    apps.push_back(std::move(app));
-  }
+  std::vector<int> levels;
+  for (int level = kMinApiLevel; level <= kMaxApiLevel; level += 3)
+    levels.push_back(level);
   {
     const FrameworkRepository cold{small_config()};
     cold.set_model_cache_dir(dir);
-    (void)warm_target_levels(cold, apps, 4);
+    (void)warm_target_levels(cold, levels, 4);
   }
 
   const FrameworkRepository repo{small_config()};
@@ -399,18 +396,18 @@ TEST(ModelCacheImage, ConcurrentWarmUpsRaceOneRepository) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < stats.size(); ++t)
     threads.emplace_back([&, t] {
-      stats[t] = warm_target_levels(repo, apps, 4);
-      images[t] = &repo.image(apps.back().apk.manifest.target_sdk);
+      stats[t] = warm_target_levels(repo, levels, 4);
+      images[t] = &repo.image(levels.back());
     });
   for (auto& thread : threads) thread.join();
 
   for (std::size_t t = 0; t < stats.size(); ++t) {
-    EXPECT_EQ(stats[t].levels, apps.size());
+    EXPECT_EQ(stats[t].levels, levels.size());
     EXPECT_EQ(images[t], images[0]);
   }
-  EXPECT_EQ(repo.image_cache_hits(), apps.size());
-  EXPECT_EQ(repo.substrate_cache_hits(), apps.size());
-  EXPECT_EQ(repo.substrate_build_count(), apps.size());
+  EXPECT_EQ(repo.image_cache_hits(), levels.size());
+  EXPECT_EQ(repo.substrate_cache_hits(), levels.size());
+  EXPECT_EQ(repo.substrate_build_count(), levels.size());
 }
 
 // --- the warm ≡ cold differential ----------------------------------------------

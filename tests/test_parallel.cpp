@@ -2,7 +2,8 @@
 // determinism contract of run_suite_parallel (identical rows to the serial
 // harness for any worker count — the property every throughput number in
 // BENCH_parallel.json silently depends on), including the parallel warm
-// start from a model cache.
+// start from a model cache and the streaming form that resolves each app
+// on the worker analyzing it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,13 +12,16 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "adf/repository.hpp"
 #include "core/model_cache.hpp"
 #include "core/saintdroid.hpp"
+#include "support/errors.hpp"
 #include "support/thread_pool.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/harness.hpp"
@@ -181,6 +185,12 @@ TEST(RunSuiteParallel, MatchesSerialRowForRowAtAnyJobCount) {
   }
 }
 
+std::vector<int> target_levels(std::span<const BenchApp> apps) {
+  std::vector<int> levels;
+  for (const auto& app : apps) levels.push_back(app.apk.manifest.target_sdk);
+  return levels;
+}
+
 TEST(RunSuiteParallel, WarmStartJournalsEqualColdAtAnyJobCount) {
   // The batch/work warm start over fresh repositories sharing one model
   // cache: the cold run emits, mines and stores; each warm run parses its
@@ -207,7 +217,9 @@ TEST(RunSuiteParallel, WarmStartJournalsEqualColdAtAnyJobCount) {
     options.jobs = jobs;
     options.journal_path = dir + "/rows-" + std::to_string(warm) + "-" +
                            std::to_string(jobs) + ".jsonl";
-    options.warmup = [&] { warmup = warm_target_levels(repo, apps, jobs); };
+    options.warmup = [&] {
+      warmup = warm_target_levels(repo, target_levels(apps), jobs);
+    };
     (void)run_suite_parallel(
         [&] { return std::make_unique<SaintDroid>(repo, db); }, apps,
         options);
@@ -249,6 +261,250 @@ TEST(RunSuiteParallel, EmptySuite) {
   const SuiteResult suite = run_suite_parallel(factory, {}, 8);
   EXPECT_TRUE(suite.rows.empty());
   EXPECT_EQ(suite.failures, 0);
+}
+
+// --- the streaming form ----------------------------------------------------------
+
+/// The accuracy bench with one shared database, a factory over it, the
+/// slot names, and the span form's rows as the reference — built once.
+class StreamingSuite : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const auto& repo = FrameworkRepository::standard();
+    apps_ = new std::vector<BenchApp>(accuracy_bench(repo));
+    names_ = new std::vector<std::string>;
+    for (const auto& app : *apps_) names_->push_back(app.apk.name);
+    db_ = new std::shared_ptr<const ApiDatabase>(
+        SaintDroid{repo}.shared_database());
+    reference_ = new SuiteResult{run_suite_parallel(factory(), *apps_, 1)};
+  }
+  static void TearDownTestSuite() {
+    delete reference_;
+    delete db_;
+    delete names_;
+    delete apps_;
+  }
+
+  static AnalyzerFactory factory() {
+    return [] {
+      return std::make_unique<SaintDroid>(FrameworkRepository::standard(),
+                                          *db_);
+    };
+  }
+
+  /// A resolver that hands over an owned copy of app i, as a streaming
+  /// caller hands over an app it just parsed.
+  static SlotResolver owning() {
+    return [](std::size_t i) {
+      return std::make_shared<const BenchApp>((*apps_)[i]);
+    };
+  }
+
+  static std::string journal(const std::string& name) {
+    const std::string path = ::testing::TempDir() + "streaming_" + name +
+                             ".jsonl";
+    std::filesystem::remove(path);
+    return path;
+  }
+
+  /// A journal's rows as sorted canonical bytes: the journal is in
+  /// completion order, which varies with the schedule.
+  static std::vector<std::string> canonical_journal(const std::string& path) {
+    std::vector<std::string> lines;
+    for (const auto& row : load_journal(path))
+      lines.push_back(canonical_row_bytes(row));
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  }
+
+  static std::vector<std::string> canonical_rows(const SuiteResult& suite) {
+    std::vector<std::string> rows;
+    for (const auto& row : suite.rows) rows.push_back(canonical_row_bytes(row));
+    return rows;
+  }
+
+  static void expect_suites_eq(const SuiteResult& a, const SuiteResult& b) {
+    EXPECT_EQ(a.tool, b.tool);
+    EXPECT_EQ(a.failures, b.failures);
+    EXPECT_EQ(a.incomplete, b.incomplete);
+    expect_family_eq(a.aggregate, b.aggregate);
+    EXPECT_EQ(canonical_rows(a), canonical_rows(b));
+  }
+
+  static std::vector<BenchApp>* apps_;
+  static std::vector<std::string>* names_;
+  static std::shared_ptr<const ApiDatabase>* db_;
+  static SuiteResult* reference_;
+};
+
+std::vector<BenchApp>* StreamingSuite::apps_ = nullptr;
+std::vector<std::string>* StreamingSuite::names_ = nullptr;
+std::shared_ptr<const ApiDatabase>* StreamingSuite::db_ = nullptr;
+SuiteResult* StreamingSuite::reference_ = nullptr;
+
+TEST_F(StreamingSuite, EqualsSpanFormIncludingStopAndResume) {
+  ASSERT_GT(apps_->size(), 8u);
+  const std::size_t half = apps_->size() / 2;
+  for (const int jobs : {1, 2, 8}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    std::vector<std::vector<std::string>> journals;
+    for (const bool streaming : {false, true}) {
+      SCOPED_TRACE(streaming ? "streaming" : "span");
+      const auto run = [&](const SuiteRunOptions& options) {
+        return streaming ? run_suite_parallel(factory(), *names_, owning(),
+                                              options)
+                         : run_suite_parallel(factory(), *apps_, options);
+      };
+      const std::string tag =
+          std::to_string(jobs) + (streaming ? "_stream" : "_span");
+
+      SuiteRunOptions whole;
+      whole.jobs = jobs;
+      whole.journal_path = journal("whole_" + tag);
+      const SuiteResult full = run(whole);
+      expect_suites_eq(full, *reference_);
+      journals.push_back(canonical_journal(whole.journal_path));
+
+      // Stopped after about half the apps were started, then resumed: the
+      // stopped run journals exactly the rows it analyzed, and the resumed
+      // run completes to the uninterrupted result and journal.
+      SuiteRunOptions stopped;
+      stopped.jobs = jobs;
+      stopped.journal_path = journal("stopped_" + tag);
+      std::atomic<std::size_t> polls{0};
+      stopped.stop = [&polls, half] { return polls++ >= half; };
+      const SuiteResult cut = run(stopped);
+      EXPECT_GT(cut.skipped_rows, 0u);
+      EXPECT_EQ(cut.rows.size() + cut.skipped_rows, apps_->size());
+      EXPECT_EQ(load_journal(stopped.journal_path).size(), cut.rows.size());
+
+      SuiteRunOptions resumed = stopped;
+      resumed.stop = nullptr;
+      resumed.resume = true;
+      const SuiteResult rest = run(resumed);
+      EXPECT_EQ(rest.resumed_rows, cut.rows.size());
+      expect_suites_eq(rest, *reference_);
+      journals.push_back(canonical_journal(resumed.journal_path));
+    }
+    ASSERT_EQ(journals.size(), 4u);
+    for (const auto& lines : journals) EXPECT_EQ(lines, journals.front());
+  }
+}
+
+TEST_F(StreamingSuite, ResolvesEachAnalyzedSlotOnceAndNoOther) {
+  const std::size_t n = apps_->size();
+  for (const int jobs : {1, 2, 8}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    // The first third is journaled by an earlier run.
+    SuiteRunOptions head_run;
+    head_run.jobs = jobs;
+    head_run.journal_path = journal("once_" + std::to_string(jobs));
+    const std::vector<BenchApp> head(apps_->begin(),
+                                     apps_->begin() + n / 3);
+    (void)run_suite_parallel(factory(), head, head_run);
+
+    // The resumed run stops after about two thirds were started.
+    std::vector<std::atomic<int>> calls(n);
+    SuiteRunOptions options = head_run;
+    options.resume = true;
+    std::atomic<std::size_t> polls{0};
+    options.stop = [&polls, n] { return polls++ >= n / 3; };
+    const SlotResolver copy = owning();
+    const SuiteResult suite = run_suite_parallel(
+        factory(), *names_,
+        [&](std::size_t i) {
+          ++calls[i];
+          return copy(i);
+        },
+        options);
+
+    EXPECT_EQ(suite.resumed_rows, head.size());
+    EXPECT_GT(suite.skipped_rows, 0u);
+    std::vector<char> present(n, 0);
+    for (const auto& row : suite.rows)
+      for (std::size_t i = 0; i < n; ++i)
+        if ((*names_)[i] == row.app) present[i] = 1;
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE("slot " + std::to_string(i));
+      const int expected = i < head.size() || !present[i] ? 0 : 1;
+      EXPECT_EQ(calls[i].load(), expected);
+      total += static_cast<std::size_t>(calls[i].load());
+    }
+    EXPECT_EQ(total, suite.rows.size() - suite.resumed_rows);
+  }
+}
+
+TEST_F(StreamingSuite, NeverMoreAppsLiveThanJobs) {
+  // An app counts as live from its resolve until the harness drops it,
+  // which is once its analysis returned.
+  for (const int jobs : {1, 2, 8}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    std::atomic<int> live{0};
+    std::atomic<int> peak{0};
+    const SlotResolver counted = [&](std::size_t i) {
+      const int now = ++live;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      return SlotApp{new BenchApp((*apps_)[i]), [&live](const BenchApp* app) {
+                       --live;
+                       delete app;
+                     }};
+    };
+    SuiteRunOptions options;
+    options.jobs = jobs;
+    const SuiteResult suite =
+        run_suite_parallel(factory(), *names_, counted, options);
+    expect_suites_eq(suite, *reference_);
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), jobs);
+    EXPECT_EQ(live.load(), 0);
+  }
+}
+
+TEST_F(StreamingSuite, ThrowingResolverFailsOnlyItsSlot) {
+  const std::size_t bad = 3;
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    SuiteRunOptions options;
+    options.jobs = jobs;
+    options.journal_path = journal("throwing_" + std::to_string(jobs));
+    const SlotResolver copy = owning();
+    const SuiteResult suite = run_suite_parallel(
+        factory(), *names_,
+        [&](std::size_t i) {
+          if (i == bad) throw ParseError("truncated package");
+          return copy(i);
+        },
+        options);
+
+    ASSERT_EQ(suite.rows.size(), reference_->rows.size());
+    const SuiteAppRow& failed = suite.rows[bad];
+    EXPECT_EQ(failed.app, (*names_)[bad]);
+    EXPECT_FALSE(failed.completed);
+    ASSERT_TRUE(failed.failure.has_value());
+    EXPECT_EQ(failed.failure->kind, FailureKind::kParse);
+    EXPECT_EQ(failed.failure->phase, "resolve");
+    EXPECT_NE(failed.failure->message.find("truncated package"),
+              std::string::npos);
+    EXPECT_EQ(suite.failures, reference_->failures + 1);
+    for (std::size_t i = 0; i < suite.rows.size(); ++i) {
+      if (i == bad) continue;
+      SCOPED_TRACE("row " + std::to_string(i));
+      EXPECT_EQ(canonical_row_bytes(suite.rows[i]),
+                canonical_row_bytes(reference_->rows[i]));
+    }
+    // The failure row is journaled like any other.
+    const auto journaled = load_journal(options.journal_path);
+    EXPECT_EQ(journaled.size(), suite.rows.size());
+    EXPECT_EQ(std::count_if(journaled.begin(), journaled.end(),
+                            [](const SuiteAppRow& row) {
+                              return row.failure.has_value() &&
+                                     row.failure->phase == "resolve";
+                            }),
+              1);
+  }
 }
 
 }  // namespace

@@ -88,6 +88,10 @@ namespace sd = saintdroid;
 
 namespace {
 
+/// Started during static initialization: `batch`'s summary reports the
+/// process wall from here, startup included.
+const sd::Stopwatch process_watch;
+
 // --- the command table ------------------------------------------------------
 
 /// A malformed invocation: main prints the usage to stderr and exits 2.
@@ -251,9 +255,9 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   return *std::move(bytes);
 }
 
-/// Reads and fully parses one package; any error names the path.
-sd::Apk parse_package(const std::string& path) {
-  const auto bytes = read_file(path);
+/// Fully parses one package's bytes; any error names the path.
+sd::Apk parse_package(const std::string& path,
+                      std::span<const std::uint8_t> bytes) {
   try {
     return sd::Apk::parse(bytes);
   } catch (const sd::Error& e) {
@@ -261,18 +265,53 @@ sd::Apk parse_package(const std::string& path) {
   }
 }
 
-/// Reads and parses `paths` on `jobs` workers, returning the apps in input
-/// order. Any unreadable or malformed package fails the whole call —
-/// before any analysis or journal row — with the error of the first bad
-/// path in input order, whatever order the workers finished.
-std::vector<sd::BenchApp> parse_packages(const std::vector<std::string>& paths,
-                                         int jobs) {
-  std::vector<sd::BenchApp> apps(paths.size());
+/// Reads and fully parses one package; any error names the path.
+sd::Apk parse_package(const std::string& path) {
+  return parse_package(path, read_file(path));
+}
+
+/// What `batch` keeps of its packages between the check pass and the
+/// analysis, slot for slot: each app's name (corpus fingerprint, shard
+/// slice, resume matching), its manifest target SDK (the warm-up) and the
+/// bytes read, which the analyzing worker parses again and then releases.
+struct CheckedPackages {
+  std::vector<std::string> names;
+  std::vector<int> target_levels;
+  std::vector<std::vector<std::uint8_t>> bytes;
+
+  /// Keeps only the interleaved slice shard_slice would cut.
+  void keep_shard(int index, int count) {
+    CheckedPackages slice;
+    for (std::size_t i = static_cast<std::size_t>(index); i < names.size();
+         i += static_cast<std::size_t>(count)) {
+      slice.names.push_back(std::move(names[i]));
+      slice.target_levels.push_back(target_levels[i]);
+      slice.bytes.push_back(std::move(bytes[i]));
+    }
+    *this = std::move(slice);
+  }
+};
+
+/// Reads and fully parses `paths` on `jobs` workers; each worker drops the
+/// parsed app and keeps only what CheckedPackages holds. Any unreadable or
+/// malformed package fails the whole call — before any analysis or journal
+/// row — with the error of the first bad path in input order, whatever
+/// order the workers finished.
+CheckedPackages check_packages(const std::vector<std::string>& paths,
+                               int jobs) {
+  CheckedPackages packages;
+  packages.names.resize(paths.size());
+  packages.target_levels.resize(paths.size());
+  packages.bytes.resize(paths.size());
   sd::parallel_for(paths.size(), static_cast<std::size_t>(std::max(jobs, 1)),
                    [&](std::size_t i) {
-                     apps[i].apk = parse_package(paths[i]);
+                     std::vector<std::uint8_t> bytes = read_file(paths[i]);
+                     const sd::Apk apk = parse_package(paths[i], bytes);
+                     packages.names[i] = apk.name;
+                     packages.target_levels[i] = apk.manifest.target_sdk;
+                     packages.bytes[i] = std::move(bytes);
                    });
-  return apps;
+  return packages;
 }
 
 /// Parses "a,b,c" into levels; a token that is not an integer is a usage
@@ -304,42 +343,21 @@ std::pair<int, int> parse_shard_spec(const std::string& arg) {
   return {static_cast<int>(*index), static_cast<int>(*count)};
 }
 
-/// The analysis model `analyze`, `batch` and `work` share: `--jobs`
-/// (0 or absent: the host's hardware concurrency); the ARM database from
-/// the `--db` file, else from the `--model-cache` directory (mined once and
-/// stored there), else mined for this run; the model cache attached to
-/// the repository so framework images and substrates load from it too;
-/// and the `--incr-cache` directory as the incremental fact cache every
-/// facade shares (its stores are rename-atomic, so concurrent workers and
-/// shard processes pointed at one directory race benignly).
-struct Model {
-  const sd::FrameworkRepository& repo = sd::FrameworkRepository::standard();
-  int jobs = 0;
+/// The analysis model of `analyze`, `batch` and `work` (sd::load_model):
+/// `--jobs` (0 or absent: the host's hardware concurrency); the ARM
+/// database from the `--db` file, else from the `--model-cache` directory
+/// (mined once and stored there), else mined for this run; the model cache
+/// attached so framework images and substrates load from it too; and the
+/// `--incr-cache` directory as the incremental fact cache.
+sd::AnalysisModel load_model(const Args& args) {
   std::shared_ptr<const sd::ApiDatabase> db;
-  sd::SaintDroidOptions options;
-};
-
-Model load_model(const Args& args) {
-  Model model;
-  model.jobs = static_cast<int>(args.integer("--jobs", 0));
-  if (model.jobs <= 0)
-    model.jobs = static_cast<int>(sd::ThreadPool::default_workers());
-  std::optional<sd::ModelCache> cache;
-  if (!args.text("--model-cache").empty())
-    cache.emplace(args.text("--model-cache"));
   if (!args.text("--db").empty())
-    model.db = std::make_shared<const sd::ApiDatabase>(
+    db = std::make_shared<const sd::ApiDatabase>(
         sd::ApiDatabase::parse(read_file(args.text("--db"))));
-  else if (cache)
-    model.db = cache->api_database(model.repo, model.jobs);
-  else
-    model.db = std::make_shared<const sd::ApiDatabase>(
-        sd::ApiDatabase::mine(model.repo, model.jobs));
-  if (cache) cache->attach_substrate_cache(model.repo);
-  if (!args.text("--incr-cache").empty())
-    model.options.incr_cache =
-        std::make_shared<const sd::IncrCache>(args.text("--incr-cache"));
-  return model;
+  return sd::load_model(sd::FrameworkRepository::standard(),
+                        static_cast<int>(args.integer("--jobs", 0)),
+                        args.text("--model-cache"), std::move(db),
+                        args.text("--incr-cache"));
 }
 
 /// Prints the per-app rows of a suite exactly like `batch` does, and
@@ -375,7 +393,7 @@ int run_analyze(const Args& args) {
                            : std::vector<int>{};
   const bool json = args.has("--json");
   const sd::Apk apk = sd::Apk::parse(read_file(args.positionals[0]));
-  Model model = load_model(args);
+  sd::AnalysisModel model = load_model(args);
   sd::SaintDroid tool{model.repo, std::move(model.db), model.options};
   const sd::AnalysisResult result =
       levels.empty() ? tool.analyze(apk) : tool.analyze_versions(apk, levels);
@@ -395,34 +413,35 @@ int run_analyze(const Args& args) {
   return result.mismatches.empty() ? 0 : 1;
 }
 
-/// `saintdroid batch`: parses every package up front (on `--jobs`
-/// workers), warms the target levels in parallel, analyzes them through
-/// the fault-isolated suite harness (one mined database shared by every
-/// worker), prints one line per app in input order. An app whose analysis
-/// fails is reported as a structured FAILED row — it never sinks the batch.
-/// With `--journal` every finished row is appended to a crash-safe JSONL
-/// file; `--resume` skips apps already journaled. Returns 1 when any app
-/// has mismatches or failed, 2 on package parse failure.
+/// `saintdroid batch`: checks every package up front (read and fully
+/// parsed on `--jobs` workers, keeping only its name, target SDK and
+/// bytes), warms the target levels in parallel, then analyzes the apps
+/// through the fault-isolated suite harness (one mined database shared by
+/// every worker), each parsed again from its bytes on the worker that
+/// analyzes it and dropped once its row is written. Prints one line per
+/// app in input order. An app whose analysis fails is reported as a
+/// structured FAILED row — it never sinks the batch. With `--journal`
+/// every finished row is appended to a crash-safe JSONL file; `--resume`
+/// skips apps already journaled. Returns 1 when any app has mismatches or
+/// failed, 2 on package parse failure.
 int run_batch(const Args& args) {
   const auto [shard_index, shard_count] =
       args.has("--shard") ? parse_shard_spec(args.text("--shard"))
                           : std::pair{0, 1};
   const std::string journal_path = args.text("--journal");
-  const Model model = load_model(args);
+  const sd::AnalysisModel model = load_model(args);
   const int jobs = model.jobs;
 
   const sd::Stopwatch parse_watch;
-  std::vector<sd::BenchApp> full_list =
-      parse_packages(args.positionals, jobs);
+  CheckedPackages packages = check_packages(args.positionals, jobs);
   const double parse_seconds = parse_watch.seconds();
 
   // The corpus fingerprint covers the *full* app list — every shard of one
   // run computes the same id, so merge-journals can refuse shards cut from
   // different lists. The shard then analyzes only its interleaved slice.
-  const std::string corpus_id = sd::corpus_fingerprint(full_list);
-  const std::vector<sd::BenchApp> apps =
-      shard_count > 1 ? sd::shard_slice(full_list, shard_index, shard_count)
-                      : std::move(full_list);
+  const std::string corpus_id = sd::corpus_fingerprint(packages.names);
+  if (shard_count > 1) packages.keep_shard(shard_index, shard_count);
+  const std::size_t app_count = packages.names.size();
 
   sd::SuiteRunOptions options;
   options.jobs = jobs;
@@ -435,7 +454,7 @@ int run_batch(const Args& args) {
   // targets, once, before the worker fan-out, levels in parallel.
   sd::WarmupStats warmup;
   options.warmup = [&] {
-    warmup = sd::warm_target_levels(model.repo, apps, jobs);
+    warmup = sd::warm_target_levels(model.repo, packages.target_levels, jobs);
   };
 
   // Graceful shutdown: SIGINT/SIGTERM stops starting new apps; in-flight
@@ -444,13 +463,22 @@ int run_batch(const Args& args) {
   sd::install_shutdown_handlers();
   options.stop = [] { return sd::shutdown_requested(); };
 
+  // The second parse reads the very bytes the check pass accepted, so a
+  // package changed on disk in between cannot make it fail.
+  const auto resolve = [&packages](std::size_t i) {
+    auto app = std::make_shared<sd::BenchApp>();
+    app->apk = sd::Apk::parse(packages.bytes[i]);
+    std::vector<std::uint8_t>{}.swap(packages.bytes[i]);
+    return sd::SlotApp{std::move(app)};
+  };
+
   const sd::Stopwatch watch;
   const sd::SuiteResult suite = sd::run_suite_parallel(
       [&] {
         return std::make_unique<sd::SaintDroid>(model.repo, model.db,
                                                 model.options);
       },
-      apps, options);
+      packages.names, resolve, options);
   const double elapsed = watch.seconds();
 
   const std::uint64_t total = print_suite_rows(suite);
@@ -458,12 +486,14 @@ int run_batch(const Args& args) {
     std::printf("shard %d/%d (corpus %s): ", shard_index, shard_count,
                 corpus_id.c_str());
   std::printf("%zu apps, %llu mismatches, %d failures, %d incomplete, "
-              "%d jobs, %.2fs (%.1f apps/sec, %llu framework retr%s)\n",
-              apps.size(), static_cast<unsigned long long>(total),
+              "%d jobs, %.2fs (%.1f apps/sec, %llu framework retr%s), "
+              "wall %.2fs\n",
+              app_count, static_cast<unsigned long long>(total),
               suite.failures, suite.incomplete, jobs, elapsed,
-              elapsed > 0 ? apps.size() / elapsed : 0.0,
+              elapsed > 0 ? app_count / elapsed : 0.0,
               static_cast<unsigned long long>(suite.framework_retries),
-              suite.framework_retries == 1 ? "y" : "ies");
+              suite.framework_retries == 1 ? "y" : "ies",
+              process_watch.seconds());
   std::printf("startup: read+parse %.2fs (%zu packages); warm-up %.2fs "
               "(%zu levels, %llu images and %llu substrates from cache)\n",
               parse_seconds, args.positionals.size(), warmup.seconds,
@@ -577,7 +607,7 @@ int run_coordinate(const Args& args) {
 /// and appending rows to journal-<worker>.jsonl. Safe to run many of these
 /// concurrently against one workdir — on one host or many.
 int run_work(const Args& args) {
-  const Model model = load_model(args);
+  const sd::AnalysisModel model = load_model(args);
   const int jobs = model.jobs;
 
   sd::AgentOptions options;
@@ -600,7 +630,10 @@ int run_work(const Args& args) {
                                             model.options);
   };
   options.warmup = [&model, jobs](std::span<const sd::BenchApp> slice) {
-    (void)sd::warm_target_levels(model.repo, slice, jobs);
+    std::vector<int> levels;
+    levels.reserve(slice.size());
+    for (const auto& app : slice) levels.push_back(app.apk.manifest.target_sdk);
+    (void)sd::warm_target_levels(model.repo, levels, jobs);
   };
 
   // Graceful shutdown: stop claiming, finish (or journal-and-abandon) the
