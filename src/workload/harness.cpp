@@ -292,8 +292,8 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
     }
   };
   // parallel_for runs each worker's drain once, the calling thread among
-  // them (inline when there is one worker); get() semantics: a harness
-  // bug's exception — never an app's — propagates to the caller.
+  // them (inline when there is one worker). Only a harness bug, never an
+  // app, can throw here; its exception reaches the caller after the join.
   parallel_for(workers, workers,
                [&](std::size_t w) { drain(*tools[w]); });
 

@@ -239,12 +239,12 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
 /// worker.
 using SlotApp = std::shared_ptr<const BenchApp>;
 
-/// Produces the app of slot i, whose name must be names[i]. Called at most
-/// once per slot — never for a slot merged back by resume or skipped by
-/// `stop` — from the worker about to analyze it, so concurrently for
-/// distinct slots. Runs inside the per-app isolation boundary: an
-/// exception becomes that slot's structured failure row (phase
-/// "resolve"), named names[i].
+/// Produces the app of slot i (never null), whose name must be names[i].
+/// Called at most once per slot — never for a slot merged back by resume
+/// or skipped by `stop` — from the worker about to analyze it, so
+/// concurrently for distinct slots. Runs inside the per-app isolation
+/// boundary: an exception becomes that slot's structured failure row
+/// (phase "resolve"), named names[i].
 using SlotResolver = std::function<SlotApp(std::size_t)>;
 
 /// The streaming core every run_suite_parallel overload forwards to: the
