@@ -235,7 +235,7 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
 
   SuiteResult suite;
   suite.rows.resize(n);
-  std::vector<char> resumed(n, 0);
+  std::vector<char> done(n, 0);      // resumed or analyzed
   std::vector<std::size_t> pending;  // slots to analyze, in input order
   for (std::size_t i = 0; i < n; ++i) {
     const auto it = journaled.find(names[i]);
@@ -244,7 +244,7 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
       continue;
     }
     suite.rows[i] = it->second;
-    resumed[i] = 1;
+    done[i] = 1;
     ++suite.resumed_rows;
   }
 
@@ -270,7 +270,6 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
   // index regardless of scheduling. `stop` is polled between apps, never
   // mid-analysis, so a stopping run finishes (and journals) every app it
   // started and skips the rest.
-  std::vector<char> analyzed(n, 0);
   std::atomic<std::size_t> next{0};
   const auto drain = [&](Analyzer& tool) {
     for (;;) {
@@ -288,7 +287,7 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
       if (app) row = analyze_app_row(tool, *app);
       app.reset();
       if (journal) journal->append(row);
-      analyzed[i] = 1;
+      done[i] = 1;
     }
   };
   // parallel_for runs each worker's drain once, the calling thread among
@@ -303,7 +302,7 @@ SuiteResult run_suite_parallel(const AnalyzerFactory& factory,
     std::vector<SuiteAppRow> kept;
     kept.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (resumed[i] || analyzed[i])
+      if (done[i])
         kept.push_back(std::move(suite.rows[i]));
       else
         ++suite.skipped_rows;
