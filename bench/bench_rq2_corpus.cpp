@@ -13,29 +13,15 @@
 //
 // Pass an app count as argv[1] to subsample (default: full corpus).
 //
-// After the mismatch-rate study, the corpus doubles as the RQ2 throughput
-// workload: the same apps run through run_suite_parallel serially and with
-// one worker per hardware thread, and both apps/sec figures are written to
-// BENCH_parallel.json so the perf trajectory is tracked per commit. A
-// second axis toggles the shared framework substrate on and off over the
-// corpus's library-heavy stratum (BENCH_substrate.json), with a
-// byte-identity check across jobs {1, 2, 8} and both substrate settings.
-//
 // The bench is journal-aware: `--journal <file>` runs the corpus suite
 // through the crash-safe journal and `--resume` merges an existing
 // journal's rows back instead of re-analyzing them, so the full 3,571-app
 // study survives preemption (`bench_rq2_corpus 3571 --journal rq2.jsonl
-// [--resume]` after a kill picks up where it died). A shard/resume axis
-// then proves the multi-process story on the same slice — N shard
-// journals merged with merge_journals, and a torn-journal resume, both
-// byte-identical to the single-process run — and records the numbers in
-// BENCH_shard.json.
+// [--resume]` after a kill picks up where it died).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,42 +33,8 @@
 #include "workload/corpus.hpp"
 #include "workload/ground_truth.hpp"
 #include "workload/harness.hpp"
-#include "workload/journal.hpp"
 
 namespace sd = saintdroid;
-
-namespace {
-
-/// Canonical byte form of a suite: one journal line per row with the
-/// wall-clock field zeroed (timing is the one legitimately nondeterministic
-/// field). Two runs are byte-identical iff these strings match.
-std::string suite_bytes(const sd::SuiteResult& suite) {
-  std::string bytes;
-  for (sd::SuiteAppRow row : suite.rows) {
-    row.usage.seconds = 0.0;
-    bytes += sd::journal_line(row);
-    bytes += '\n';
-  }
-  return bytes;
-}
-
-/// Canonical byte form of a row *set*: sorted by app name, seconds zeroed.
-/// The comparison currency between a single-process SuiteResult and the
-/// app-name-ordered output of merge_journals.
-std::string sorted_bytes(std::span<const sd::SuiteAppRow> rows) {
-  std::vector<std::string> lines;
-  lines.reserve(rows.size());
-  for (const auto& row : rows) lines.push_back(sd::canonical_row_bytes(row));
-  std::sort(lines.begin(), lines.end());
-  std::string bytes;
-  for (const auto& line : lines) {
-    bytes += line;
-    bytes += '\n';
-  }
-  return bytes;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto& repo = sd::FrameworkRepository::standard();
@@ -197,157 +149,19 @@ int main(int argc, char** argv) {
               100.0 * api_score.recall(), 100.0 * apc_score.recall(),
               100.0 * prm_score.recall());
 
-  // --- throughput: serial vs parallel over the same corpus slice ---------
-  // App generation is excluded from timing (it is harness, not analysis);
-  // a 400-app slice keeps the default full-corpus run affordable while
-  // argv[1] subsamples both studies consistently.
-  const int suite_count = std::min(count, 400);
-  std::vector<sd::BenchApp> suite_apps;
-  suite_apps.reserve(static_cast<std::size_t>(suite_count));
-  for (int i = 0; i < suite_count; ++i)
-    suite_apps.push_back(corpus.generate(i));
-
-  const auto db = tool.shared_database();
-  const auto make_factory = [&repo, &db,
-                             &tool_options](bool shared_substrate) {
-    sd::SaintDroidOptions options = tool_options;
-    options.shared_substrate = shared_substrate;
-    return sd::AnalyzerFactory{[&repo, &db, options] {
-      return std::make_unique<sd::SaintDroid>(repo, db, options);
-    }};
-  };
-  const sd::AnalyzerFactory factory = make_factory(true);
-  const int hw = static_cast<int>(sd::ThreadPool::default_workers());
-
-  const auto timed_suite = [&](const sd::AnalyzerFactory& f,
-                               const std::vector<sd::BenchApp>& apps,
-                               int jobs, double& wall) {
-    const sd::Stopwatch watch;
-    sd::SuiteResult suite = sd::run_suite_parallel(f, apps, jobs);
-    wall = watch.seconds();
-    return suite;
-  };
-  const auto throughput = [&](int jobs) {
-    double wall = 0.0;
-    (void)timed_suite(factory, suite_apps, jobs, wall);
-    return wall > 0 ? suite_count / wall : 0.0;
-  };
-
-  const double serial_aps = throughput(1);
-  const double parallel_aps = hw > 1 ? throughput(hw) : serial_aps;
-  std::printf("\nthroughput over %d corpus apps (shared ARM database):\n"
-              "  serial        %8.1f apps/sec\n"
-              "  jobs=%-2d       %8.1f apps/sec  (%.2fx)\n",
-              suite_count, serial_aps, hw, parallel_aps,
-              serial_aps > 0 ? parallel_aps / serial_aps : 0.0);
-
-  if (std::FILE* out = std::fopen("BENCH_parallel.json", "w")) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"rq2_corpus_throughput\",\n"
-                 "  \"apps\": %d,\n"
-                 "  \"hardware_concurrency\": %d,\n"
-                 "  \"effective_jobs\": %d,\n"
-                 "  \"serial_apps_per_sec\": %.2f,\n"
-                 "  \"parallel_apps_per_sec\": %.2f,\n"
-                 "  \"speedup\": %.3f\n"
-                 "}\n",
-                 suite_count, hw, hw, serial_aps, parallel_aps,
-                 serial_aps > 0 ? parallel_aps / serial_aps : 0.0);
-    std::fclose(out);
-    std::printf("  -> BENCH_parallel.json\n");
-  }
-
-  // --- substrate axis: shared framework substrate on vs off -------------
-  // Measured on the library-heavy stratum of the corpus (the Fig. 3
-  // outliers: library_heavy_fraction of the population, apps whose
-  // defining trait is touching hundreds of distinct framework classes).
-  // That is the regime the substrate exists for — the unshared
-  // configuration re-materializes every touched framework class per
-  // analyzer, the shared one reads the per-level substrate built once per
-  // process. Both settings run the identical slice at jobs=8, and rows
-  // must be byte-identical across both settings and across jobs {1, 2, 8}
-  // — the substrate is a pure caching layer, invisible in every reported
-  // field.
-  sd::CorpusConfig heavy_config = corpus.config();
-  heavy_config.library_heavy_fraction = 1.0;
-  const sd::RealWorldCorpus heavy_corpus{repo, heavy_config};
-  const std::vector<sd::BenchApp> heavy_apps =
-      heavy_corpus.generate_range(0, suite_count, hw);
-  const sd::AnalyzerFactory unshared_factory = make_factory(false);
-
-  double unshared_wall = 0.0;
-  const sd::SuiteResult unshared_suite =
-      timed_suite(unshared_factory, heavy_apps, 8, unshared_wall);
-
-  // Warm every substrate level outside the timed region: the steady-state
-  // cost of the shared configuration is what a long-running batch pays,
-  // not the one-off builds.
-  {
-    std::vector<char> warmed(sd::kMaxApiLevel + 1, 0);
-    for (const auto& app : heavy_apps) {
-      const int level =
-          sd::FrameworkRepository::clamp_level(app.apk.manifest.target_sdk);
-      if (warmed[static_cast<std::size_t>(level)]) continue;
-      warmed[static_cast<std::size_t>(level)] = 1;
-      (void)repo.substrate(level);
-    }
-  }
-  double shared_wall = 0.0;
-  const sd::SuiteResult shared_suite =
-      timed_suite(factory, heavy_apps, 8, shared_wall);
-
-  const std::string reference = suite_bytes(shared_suite);
-  bool deterministic = suite_bytes(unshared_suite) == reference;
-  for (const int jobs : {1, 2, 8}) {
-    double wall = 0.0;
-    deterministic =
-        deterministic &&
-        suite_bytes(timed_suite(factory, heavy_apps, jobs, wall)) ==
-            reference &&
-        suite_bytes(timed_suite(unshared_factory, heavy_apps, jobs, wall)) ==
-            reference;
-  }
-
-  const double ratio =
-      unshared_wall > 0 ? shared_wall / unshared_wall : 0.0;
-  std::printf("\nsubstrate axis over %d library-heavy corpus apps "
-              "(jobs=8):\n"
-              "  unshared  %8.3fs wall\n"
-              "  shared    %8.3fs wall  (%.3fx of unshared)\n"
-              "  byte-identical rows across jobs {1,2,8} x {shared,unshared}:"
-              " %s\n",
-              suite_count, unshared_wall, shared_wall, ratio,
-              deterministic ? "yes" : "NO");
-
-  if (std::FILE* out = std::fopen("BENCH_substrate.json", "w")) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"rq2_substrate_axis\",\n"
-                 "  \"slice\": \"library_heavy\",\n"
-                 "  \"apps\": %d,\n"
-                 "  \"jobs\": 8,\n"
-                 "  \"effective_jobs\": 8,\n"
-                 "  \"unshared_wall_seconds\": %.4f,\n"
-                 "  \"shared_wall_seconds\": %.4f,\n"
-                 "  \"shared_over_unshared\": %.4f,\n"
-                 "  \"deterministic_across_jobs_and_sharing\": %s\n"
-                 "}\n",
-                 suite_count, unshared_wall, shared_wall, ratio,
-                 deterministic ? "true" : "false");
-    std::fclose(out);
-    std::printf("  -> BENCH_substrate.json\n");
-  }
-
   // --- journal pass-through: the resumable full-corpus study -------------
   // With --journal the whole count-app suite runs through the crash-safe
   // journal: a killed run re-invoked with --resume merges every journaled
   // row back and analyzes only the remainder, so the full 3,571-app study
   // survives preemption at the cost of re-running only the in-flight apps.
   if (!journal_path.empty()) {
+    const int hw = static_cast<int>(sd::ThreadPool::default_workers());
     const std::vector<sd::BenchApp> all_apps =
-        count == suite_count ? suite_apps
-                             : corpus.generate_range(0, count, hw);
+        corpus.generate_range(0, count, hw);
+    const auto db = tool.shared_database();
+    const sd::AnalyzerFactory factory = [&repo, &db, &tool_options] {
+      return std::make_unique<sd::SaintDroid>(repo, db, tool_options);
+    };
     sd::SuiteRunOptions journal_options;
     journal_options.jobs = hw;
     journal_options.journal_path = journal_path;
@@ -361,131 +175,5 @@ int main(int argc, char** argv) {
                 journal_path.c_str(), suite.rows.size(), suite.resumed_rows,
                 suite.rows.size() - suite.resumed_rows, watch.seconds());
   }
-
-  // --- shard/resume axis: multi-process equivalence ----------------------
-  // The multi-host fan-out story over the same slice: (a) three shard
-  // journals merged with merge_journals, (b) a run killed mid-append
-  // (torn trailing row) and resumed — both must reproduce the
-  // single-process suite byte-for-byte (app-name order, seconds zeroed).
-  const std::string corpus_id = sd::corpus_fingerprint(suite_apps);
-  double reference_wall = 0.0;
-  const sd::SuiteResult single_process =
-      timed_suite(factory, suite_apps, hw, reference_wall);
-  const std::string reference_bytes = sorted_bytes(single_process.rows);
-
-  const int shard_count = 3;
-  std::vector<std::string> shard_files;
-  std::vector<double> shard_walls;        // per-shard makespans: the static
-  std::vector<std::size_t> shard_apps;    // partition's straggler profile
-  double shard_wall_max = 0.0;  // a multi-host run costs its slowest shard
-  for (int s = 0; s < shard_count; ++s) {
-    const std::string file = "rq2_shard" + std::to_string(s) + ".jsonl";
-    const std::vector<sd::BenchApp> slice =
-        sd::shard_slice(suite_apps, s, shard_count);
-    sd::SuiteRunOptions options;
-    options.jobs = hw;
-    options.journal_path = file;
-    options.corpus_id = corpus_id;
-    options.shard_index = s;
-    options.shard_count = shard_count;
-    const sd::Stopwatch watch;
-    (void)sd::run_suite_parallel(factory, slice, options);
-    shard_walls.push_back(watch.seconds());
-    shard_apps.push_back(slice.size());
-    shard_wall_max = std::max(shard_wall_max, shard_walls.back());
-    shard_files.push_back(file);
-  }
-  const sd::JournalMerge merged = sd::merge_journals(shard_files);
-  const bool shard_identical =
-      merged.clean() && sorted_bytes(merged.rows) == reference_bytes;
-
-  // Kill-and-resume: journal the first half, tear the trailing row the way
-  // a mid-append kill does, then resume over the full slice.
-  const std::string resume_file = "rq2_resume.jsonl";
-  const std::size_t first_leg = static_cast<std::size_t>(suite_count) / 2;
-  {
-    const std::vector<sd::BenchApp> head{
-        suite_apps.begin(),
-        suite_apps.begin() + static_cast<std::ptrdiff_t>(first_leg)};
-    sd::SuiteRunOptions options;
-    options.jobs = hw;
-    options.journal_path = resume_file;
-    options.corpus_id = corpus_id;
-    (void)sd::run_suite_parallel(factory, head, options);
-  }
-  {
-    std::vector<std::string> lines;
-    std::ifstream in{resume_file};
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-    in.close();
-    std::ofstream out{resume_file, std::ios::trunc};
-    for (std::size_t i = 0; i + 1 < lines.size(); ++i) out << lines[i] << "\n";
-    out << lines.back().substr(0, lines.back().size() / 2);  // torn row
-  }
-  sd::SuiteRunOptions resume_options;
-  resume_options.jobs = hw;
-  resume_options.journal_path = resume_file;
-  resume_options.resume = true;
-  resume_options.corpus_id = corpus_id;
-  const sd::Stopwatch resume_watch;
-  const sd::SuiteResult resumed =
-      sd::run_suite_parallel(factory, suite_apps, resume_options);
-  const double resume_wall = resume_watch.seconds();
-  const bool resume_identical = sorted_bytes(resumed.rows) == reference_bytes;
-  // The torn row is the only journaled app that must be re-analyzed.
-  const bool resume_skipped_completed = resumed.resumed_rows == first_leg - 1;
-
-  std::printf("\nshard/resume axis over %d corpus apps (jobs=%d):\n"
-              "  single process  %8.3fs wall\n"
-              "  %d shards        %8.3fs wall (slowest shard), merged: "
-              "%zu apps, %zu dups, %zu conflicts\n"
-              "  merged == single process: %s\n"
-              "  kill+resume: %zu rows resumed, %zu re-analyzed, %.3fs, "
-              "identical: %s\n",
-              suite_count, hw, reference_wall, shard_count, shard_wall_max,
-              merged.rows.size(), merged.duplicates, merged.conflicts.size(),
-              shard_identical ? "yes" : "NO", resumed.resumed_rows,
-              resumed.rows.size() - resumed.resumed_rows, resume_wall,
-              resume_identical && resume_skipped_completed ? "yes" : "NO");
-
-  if (std::FILE* out = std::fopen("BENCH_shard.json", "w")) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"rq2_shard_resume\",\n"
-                 "  \"apps\": %d,\n"
-                 "  \"jobs\": %d,\n"
-                 "  \"effective_jobs\": %d,\n"
-                 "  \"shards\": %d,\n"
-                 "  \"single_process_wall_seconds\": %.4f,\n"
-                 "  \"slowest_shard_wall_seconds\": %.4f,\n"
-                 "  \"merge_duplicates\": %zu,\n"
-                 "  \"merge_conflicts\": %zu,\n"
-                 "  \"shard_merge_identical\": %s,\n"
-                 "  \"resume_resumed_rows\": %zu,\n"
-                 "  \"resume_reanalyzed_rows\": %zu,\n"
-                 "  \"resume_wall_seconds\": %.4f,\n"
-                 "  \"resume_identical\": %s,\n"
-                 "  \"shard_makespans\": [\n",
-                 suite_count, hw, hw, shard_count, reference_wall,
-                 shard_wall_max, merged.duplicates, merged.conflicts.size(),
-                 shard_identical ? "true" : "false", resumed.resumed_rows,
-                 resumed.rows.size() - resumed.resumed_rows, resume_wall,
-                 resume_identical && resume_skipped_completed ? "true"
-                                                              : "false");
-    for (int s = 0; s < shard_count; ++s)
-      std::fprintf(out,
-                   "    {\"shard\": %d, \"apps\": %zu, "
-                   "\"wall_seconds\": %.4f}%s\n",
-                   s, shard_apps[static_cast<std::size_t>(s)],
-                   shard_walls[static_cast<std::size_t>(s)],
-                   s + 1 < shard_count ? "," : "");
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("  -> BENCH_shard.json\n");
-  }
-  return deterministic && shard_identical && resume_identical &&
-                 resume_skipped_completed
-             ? 0
-             : 1;
+  return 0;
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: the exact configure/build/ctest sequence CI
-# runs on every commit, plus the ThreadSanitizer leg over the concurrency
-# suites (ci/sanitize.sh tsan). Run before pushing; a clean exit here is
-# what "tier-1 green" means in ROADMAP.md.
+# runs on every commit, the benchmark's build (vetbench/), plus the
+# ThreadSanitizer leg over the concurrency suites (ci/sanitize.sh tsan).
+# Run before pushing; a clean exit here is what "tier-1 green" means in
+# ROADMAP.md.
 #
 # Usage: ci/verify.sh [--no-tsan]
 set -euo pipefail
@@ -25,6 +26,14 @@ echo "=== incremental equivalence gate: test_incremental ==="
 echo "=== doc-drift lint: docs/*.md + README.md flags vs saintdroid --help ==="
 # Also registered with ctest (doc_drift); run standalone to fail by name.
 tools/check_doc_drift.sh ./build/tools/saintdroid docs README.md
+
+echo "=== benchmark build: vetbench's sdbench, sdtrace and the CLI ==="
+# vetbench/src calls product internals directly (sdtrace replays the
+# facade, the CLVM and the dist planner), so a product refactor can break
+# the benchmark's build without failing a test. Configure and build it
+# here, in its own tree; nothing under vetbench/ is written.
+cmake -S vetbench -B build/vetbench -DCMAKE_BUILD_TYPE=Release > /dev/null
+cmake --build build/vetbench -j "$jobs" --target sdbench sdtrace saintdroid_cli
 
 echo "=== serve smoke: daemon up, one vetted request, clean SIGTERM ==="
 smoke="$(mktemp -d)"

@@ -96,7 +96,7 @@ class FrameworkRepository {
 
   /// Substrate slots served by rebinding cached tables / table files
   /// written, over this repository's lifetime. Operational telemetry for
-  /// tests and the cold-start bench.
+  /// tests and `batch`'s startup line.
   std::uint64_t substrate_cache_hits() const {
     return substrate_cache_hits_.load(std::memory_order_relaxed);
   }

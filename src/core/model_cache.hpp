@@ -15,9 +15,10 @@
 // back to mining (and the fresh result overwrites the bad entry), so the
 // cache can never change an analysis result — only its startup cost.
 // Writes are rename-atomic, so concurrent shard processes safely share
-// one directory. The warm≡cold byte-identity contract is enforced by
-// tests/test_model_cache.cpp; cold-vs-warm startup time by
-// bench/bench_coldstart.cpp (BENCH_coldstart.json).
+// one directory. The warm≡cold byte-identity contract, and that a warm
+// start mines and builds nothing, are enforced by
+// tests/test_model_cache.cpp; cold-vs-warm startup time is vetbench's
+// `setup_s` (vetbench/README.md).
 #pragma once
 
 #include <memory>

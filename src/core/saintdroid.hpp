@@ -34,7 +34,8 @@ struct SaintDroidOptions {
   /// framework classes privately per analysis (lazy_loading only).
   /// Results — including memory accounting — are identical either way;
   /// sharing only removes the per-app re-materialization cost. False is
-  /// the ablation/measurement configuration (BENCH_substrate.json).
+  /// the reference configuration that SubstrateSuite's equivalence tests
+  /// compare the shared walk against.
   bool shared_substrate = true;
   /// Per-app resource limits (default: unlimited). Exhaustion degrades
   /// the run to a partial report flagged AnalysisResult::incomplete, with

@@ -9,7 +9,7 @@
 // keys, a response line parses directly as a SuiteAppRow, and
 // canonical_row_bytes of that row is byte-identical to what a `batch` run
 // would journal for the same APK — the serve/batch equivalence currency the
-// tests and bench_serve gate on.
+// tests gate on.
 //
 //   request   {"id":"r1","apk":"/path/to/app.apk","deadline":5.0}
 //   response  {"id":"r1","status":"done","fingerprint":"…","cached":false,

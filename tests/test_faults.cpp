@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -270,6 +272,64 @@ TEST_F(FaultSuite, InjectedFaultsAreIsolatedAndDeterministicAcrossJobs) {
       }
     }
     EXPECT_EQ(victim_cursor, victims.size());
+  }
+}
+
+/// Forwards to a wrapped analyzer and counts analyze() calls per app name,
+/// into a map shared by every worker's instance.
+class CountingAnalyzer final : public Analyzer {
+ public:
+  struct Counts {
+    std::mutex mutex;
+    std::map<std::string, int> calls;
+  };
+
+  CountingAnalyzer(std::unique_ptr<Analyzer> inner, Counts& counts)
+      : inner_{std::move(inner)}, counts_{counts} {}
+
+  std::string_view name() const override { return inner_->name(); }
+  bool detects(MismatchKind kind) const override {
+    return inner_->detects(kind);
+  }
+  AnalysisResult analyze(const Apk& apk) override {
+    {
+      const std::lock_guard lock{counts_.mutex};
+      ++counts_.calls[apk.name];
+    }
+    return inner_->analyze(apk);
+  }
+
+ private:
+  std::unique_ptr<Analyzer> inner_;
+  Counts& counts_;
+};
+
+TEST_F(FaultSuite, FaultedRunAnalyzesEveryAppExactlyOnce) {
+  // No retry blowup: a faulted app costs one failed analysis, never a
+  // retry, so a faulted run does no more work than a clean one.
+  for (const double rate : {0.05, 0.20}) {
+    const int planned = static_cast<int>(rate * kCorpusSize + 0.5);
+    FaultPlan plan;
+    for (int j = 0; j < planned; ++j)
+      plan.faults.push_back(
+          {"clvm.materialize",
+           (*apps_)[static_cast<std::size_t>(j * kCorpusSize / planned)]
+               .apk.name,
+           FaultSpec::Kind::kInjected});
+    const FaultScope scope{plan};
+    for (const int jobs : {1, 8}) {
+      SCOPED_TRACE("rate " + std::to_string(rate) + ", jobs " +
+                   std::to_string(jobs));
+      CountingAnalyzer::Counts counts;
+      const AnalyzerFactory counted = [&counts] {
+        return std::make_unique<CountingAnalyzer>(factory()(), counts);
+      };
+      const SuiteResult suite = run_suite_parallel(counted, *apps_, jobs);
+      EXPECT_EQ(suite.failures, planned);
+      ASSERT_EQ(counts.calls.size(), apps_->size());
+      for (const BenchApp& app : *apps_)
+        EXPECT_EQ(counts.calls[app.apk.name], 1) << app.apk.name;
+    }
   }
 }
 

@@ -174,21 +174,43 @@ TEST(ModelCacheSubstrate, RebindMatchesFullBuildExactly) {
 }
 
 TEST(ModelCacheSubstrate, RepositoryStoresThenLaterInstanceHits) {
+  // Two process starts over one cache directory: the cold one mines and
+  // builds every level, the warm one must mine nothing and build nothing
+  // — database served from the cache, every level's image parsed and its
+  // substrate rebound from the stored entry.
   const std::string dir = fresh_cache_dir("repo_hit");
+  const ModelCache cache{dir};
+  constexpr std::uint64_t kLevels = kMaxApiLevel - kMinApiLevel + 1;
 
   const FrameworkRepository writer{small_config()};
-  writer.set_model_cache_dir(dir);
-  const auto built = writer.substrate(23);
+  cache.attach_substrate_cache(writer);
+  bool served = true;
+  (void)cache.api_database(writer, 2, &served);
+  EXPECT_FALSE(served);
+  std::vector<std::vector<std::uint8_t>> built;
+  for (int level = kMinApiLevel; level <= kMaxApiLevel; ++level)
+    built.push_back(writer.substrate(level)->serialize_tables());
   EXPECT_EQ(writer.substrate_cache_hits(), 0u);
-  EXPECT_EQ(writer.substrate_cache_stores(), 1u);
-  EXPECT_EQ(writer.substrate_build_count(), 1u);
+  EXPECT_EQ(writer.substrate_cache_stores(), kLevels);
+  EXPECT_EQ(writer.substrate_build_count(), kLevels);
 
   const FrameworkRepository reader{small_config()};
-  reader.set_model_cache_dir(dir);
-  const auto rebound = reader.substrate(23);
-  EXPECT_EQ(reader.substrate_cache_hits(), 1u);
-  EXPECT_EQ(reader.substrate_cache_stores(), 0u);
-  EXPECT_EQ(rebound->serialize_tables(), built->serialize_tables());
+  cache.attach_substrate_cache(reader);
+  (void)cache.api_database(reader, 2, &served);
+  EXPECT_TRUE(served);
+  for (int level = kMinApiLevel; level <= kMaxApiLevel; ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    const auto hits = reader.substrate_cache_hits();
+    const auto rebound = reader.substrate(level);
+    EXPECT_EQ(reader.substrate_cache_hits(), hits + 1);
+    EXPECT_EQ(reader.substrate_cache_stores(), 0u);
+    EXPECT_EQ(rebound->serialize_tables(),
+              built[static_cast<std::size_t>(level - kMinApiLevel)]);
+  }
+  // substrate_build_count() counts every completed slot, rebinds
+  // included: each one was a rebind, and no image was emitted.
+  EXPECT_EQ(reader.substrate_build_count(), reader.substrate_cache_hits());
+  EXPECT_EQ(reader.image_cache_hits(), kLevels);
 }
 
 TEST(ModelCacheSubstrate, StaleVersionEntryIsEvictedAndOverwritten) {

@@ -1,9 +1,9 @@
 // Tests for the parallel batch engine: the support thread pool and the
 // determinism contract of run_suite_parallel (identical rows to the serial
-// harness for any worker count — the property every throughput number in
-// BENCH_parallel.json silently depends on), including the parallel warm
-// start from a model cache and the streaming form that resolves each app
-// on the worker analyzing it.
+// harness for any worker count — the property every throughput number
+// silently depends on), including the parallel warm start from a model
+// cache and the streaming form that resolves each app on the worker
+// analyzing it.
 #include <gtest/gtest.h>
 
 #include <algorithm>

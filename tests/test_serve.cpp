@@ -348,6 +348,21 @@ TEST_F(VetServiceTest, ServedRowsAreByteIdenticalToBatch) {
   }
 }
 
+TEST_F(VetServiceTest, RestartServesTheDatabaseFromTheStateDirectoryCache) {
+  // No injected database: the first daemon mines and stores it in the
+  // state directory's model cache, a restart on that directory loads it
+  // and runs no mining pass.
+  const std::string state = temp_dir("serve_warm");
+  ServeOptions cold = options(2, 8);
+  cold.database = nullptr;
+  {
+    const VetService service{state, cold};
+    EXPECT_FALSE(service.stats().database_from_cache);
+  }
+  const VetService service{state, cold};
+  EXPECT_TRUE(service.stats().database_from_cache);
+}
+
 TEST_F(VetServiceTest, SoakAtTwiceCapacityOneResponsePerRequest) {
   // Offered load far past the high-water mark: 200 requests from 8
   // threads into a 2-worker, 8-deep service. The daemon must answer every

@@ -1,5 +1,5 @@
 // Unit tests for the support layer: byte I/O, whole-file reads, interval
-// algebra, RNG, statistics, interning and logging.
+// algebra, RNG, statistics and interning.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -12,7 +12,6 @@
 #include "support/bytes.hpp"
 #include "support/interner.hpp"
 #include "support/interval.hpp"
-#include "support/log.hpp"
 #include "support/rng.hpp"
 #include "support/sdmc.hpp"
 #include "support/stats.hpp"
@@ -311,17 +310,6 @@ TEST(Interner, DedupAndLookup) {
   EXPECT_EQ(in.size(), 2u);
   EXPECT_EQ(in.find("alpha"), a);
   EXPECT_EQ(in.find("gamma"), StringInterner::npos);
-}
-
-// --- log ---------------------------------------------------------------------
-
-TEST(Log, LevelGating) {
-  const LogLevel prior = log_level();
-  set_log_level(LogLevel::kOff);
-  log_info("suppressed");  // must not crash and emits nothing visible
-  set_log_level(LogLevel::kInfo);
-  EXPECT_EQ(log_level(), LogLevel::kInfo);
-  set_log_level(prior);
 }
 
 }  // namespace

@@ -239,8 +239,9 @@ TEST_F(ToolsEndToEnd, BatchRefusesCutDexBodyBeforeAnyRow) {
   // `batch` keeps only a name, a target level and the bytes of each
   // package before its analysis, but it must still parse each one whole
   // first: a package whose container header is intact and whose dex body
-  // is cut short exits 2 naming it — at any --jobs — with no row printed
-  // and no journal written.
+  // is cut short exits 2 naming it — at any --jobs — with no row printed,
+  // no journal written and, since the check runs before the model loads,
+  // nothing mined into the model cache.
   auto [gen_rc, gen_out] =
       run(std::string(tool_dir()) + "/apkgen corpus tool_test_tmp/cut 5");
   ASSERT_EQ(gen_rc, 0) << gen_out;
@@ -252,11 +253,13 @@ TEST_F(ToolsEndToEnd, BatchRefusesCutDexBodyBeforeAnyRow) {
     if (i == 3) files += " tool_test_tmp/cut/bad_body.apk";
   }
   fs::remove("tool_test_tmp/cut.jsonl");
+  fs::remove_all("tool_test_tmp/cut_cache");
   for (const char* jobs : {"1", "4"}) {
     SCOPED_TRACE(std::string{"jobs "} + jobs);
     auto [rc, out] = run(std::string(tool_dir()) + "/saintdroid batch" +
                          files + " --jobs " + jobs +
-                         " --journal tool_test_tmp/cut.jsonl");
+                         " --journal tool_test_tmp/cut.jsonl"
+                         " --model-cache tool_test_tmp/cut_cache");
     EXPECT_EQ(WEXITSTATUS(rc), 2) << out;
     EXPECT_NE(out.find("tool_test_tmp/cut/bad_body.apk: parse error"),
               std::string::npos)
@@ -264,6 +267,10 @@ TEST_F(ToolsEndToEnd, BatchRefusesCutDexBodyBeforeAnyRow) {
     EXPECT_EQ(out.find("fdroid-app"), std::string::npos) << out;  // no rows
     EXPECT_EQ(out.find("mismatch"), std::string::npos) << out;
     EXPECT_FALSE(fs::exists("tool_test_tmp/cut.jsonl"));
+    if (fs::exists("tool_test_tmp/cut_cache"))
+      for (const auto& entry :
+           fs::directory_iterator{"tool_test_tmp/cut_cache"})
+        ADD_FAILURE() << "model cache entry stored: " << entry.path();
   }
 }
 

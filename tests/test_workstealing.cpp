@@ -146,6 +146,47 @@ TEST(PlanLeases, CostTiesBreakByInputIndexForDeterminism) {
   EXPECT_EQ(leases[1].items, (std::vector<int>{2}));
 }
 
+TEST(PlanLeases, StealingMakespanNeverExceedsStaticShards) {
+  // A long-tailed corpus: 240 apps of median cost 10, every 20th costing
+  // 130-500. Static shards commit to their strided slices up front;
+  // the lease plan, list-scheduled in id order onto the least-loaded
+  // worker (the schedule identical workers claim), must finish no later
+  // than the slowest shard at every worker count.
+  std::vector<WorkItem> items;
+  std::vector<BenchApp> apps;
+  for (int i = 0; i < 240; ++i) {
+    WorkItem item;
+    item.name = "app" + std::to_string(i);
+    item.cost = i % 20 == 19 ? 100 + 10 * ((i * 7) % 41) : 5 + (i * 13) % 11;
+    items.push_back(item);
+    BenchApp app;
+    app.apk.name = item.name;
+    apps.push_back(std::move(app));
+  }
+  const auto cost_of = [&items](const std::string& name) {
+    return items[static_cast<std::size_t>(std::stoi(name.substr(3)))].cost;
+  };
+  const std::vector<Lease> leases = plan_leases(items, 4);
+  for (const int workers : {2, 3, 5}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    std::vector<std::uint64_t> load(static_cast<std::size_t>(workers), 0);
+    for (const Lease& lease : leases) {
+      std::uint64_t cost = 0;
+      for (const int item : lease.items)
+        cost += items[static_cast<std::size_t>(item)].cost;
+      *std::min_element(load.begin(), load.end()) += cost;
+    }
+    std::uint64_t static_makespan = 0;
+    for (int s = 0; s < workers; ++s) {
+      std::uint64_t cost = 0;
+      for (const BenchApp& app : shard_slice(apps, s, workers))
+        cost += cost_of(app.apk.name);
+      static_makespan = std::max(static_makespan, cost);
+    }
+    EXPECT_LE(*std::max_element(load.begin(), load.end()), static_makespan);
+  }
+}
+
 TEST(PlanLeases, InvalidLeaseSizeThrows) {
   const auto items = named_items({{"a", 1}});
   EXPECT_THROW(plan_leases(items, 0), ConfigError);

@@ -413,28 +413,31 @@ int run_analyze(const Args& args) {
   return result.mismatches.empty() ? 0 : 1;
 }
 
-/// `saintdroid batch`: checks every package up front (read and fully
-/// parsed on `--jobs` workers, keeping only its name, target SDK and
-/// bytes), warms the target levels in parallel, then analyzes the apps
-/// through the fault-isolated suite harness (one mined database shared by
-/// every worker), each parsed again from its bytes on the worker that
-/// analyzes it and dropped once its row is written. Prints one line per
-/// app in input order. An app whose analysis fails is reported as a
-/// structured FAILED row — it never sinks the batch. With `--journal`
-/// every finished row is appended to a crash-safe JSONL file; `--resume`
-/// skips apps already journaled. Returns 1 when any app has mismatches or
-/// failed, 2 on package parse failure.
+/// `saintdroid batch`: checks every package up front, before the model
+/// loads (read and fully parsed on `--jobs` workers, keeping only its
+/// name, target SDK and bytes), warms the target levels in parallel, then
+/// analyzes the apps through the fault-isolated suite harness (one mined
+/// database shared by every worker), each parsed again from its bytes on
+/// the worker that analyzes it and dropped once its row is written.
+/// Prints one line per app in input order. An app whose analysis fails
+/// is reported as a structured FAILED row — it never sinks the batch.
+/// With `--journal` every finished row is appended to a crash-safe JSONL
+/// file; `--resume` skips apps already journaled. Returns 1 when any app
+/// has mismatches or failed, 2 on package parse failure.
 int run_batch(const Args& args) {
   const auto [shard_index, shard_count] =
       args.has("--shard") ? parse_shard_spec(args.text("--shard"))
                           : std::pair{0, 1};
   const std::string journal_path = args.text("--journal");
-  const sd::AnalysisModel model = load_model(args);
-  const int jobs = model.jobs;
+  int jobs = static_cast<int>(args.integer("--jobs", 0));
+  if (jobs <= 0) jobs = static_cast<int>(sd::ThreadPool::default_workers());
 
+  // Packages before the model: a corrupt batch exits 2 without paying for
+  // mining or a cache load.
   const sd::Stopwatch parse_watch;
   CheckedPackages packages = check_packages(args.positionals, jobs);
   const double parse_seconds = parse_watch.seconds();
+  const sd::AnalysisModel model = load_model(args);
 
   // The corpus fingerprint covers the *full* app list — every shard of one
   // run computes the same id, so merge-journals can refuse shards cut from
